@@ -193,7 +193,6 @@ fn bench_sweep(h: &Harness) {
     let spec = SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(250),
         warmup: SimDuration::from_millis(50),
-        threads: 1,
     })
     .scenarios(SweepScenario::figure(7))
     .seeds(1..=4);

@@ -18,7 +18,6 @@ fn figures_spec() -> SweepSpec {
     SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(250),
         warmup: SimDuration::from_millis(50),
-        threads: 1,
     })
     .scenarios(scenarios)
     .seeds(1..=8)

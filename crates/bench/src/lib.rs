@@ -26,6 +26,8 @@
 //! Call [`Harness::finish`] at the end of each bench `main` to flush the
 //! JSON and apply the gate.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -41,7 +43,6 @@ pub fn bench_config() -> ExpConfig {
         seed: 3,
         duration: SimDuration::from_secs(1),
         warmup: SimDuration::from_millis(200),
-        threads: 1,
     }
 }
 
@@ -301,9 +302,9 @@ pub const GATED_METRICS: [(&str, bool); 4] = [
     ("ns_per_event", true),
     ("sim_ns_per_wall_ns", false),
     ("deliveries_per_frame", true),
-    // Sharded-executor speedup over the serial run (parallel group):
-    // regresses *downward* — a lower multiple means the parallel
-    // sections stopped pulling their weight.
+    // Mobility group: incremental epoch commit's speedup over the
+    // full-rebuild reference — regresses *downward*, a lower multiple
+    // means O(moved) link maintenance stopped paying for itself.
     ("speedup", false),
 ];
 

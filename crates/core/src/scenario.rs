@@ -87,7 +87,6 @@ pub struct Scenario {
     pub(crate) duration: SimDuration,
     pub(crate) warmup: SimDuration,
     pub(crate) full_fanout: bool,
-    pub(crate) threads: usize,
     pub(crate) mobility: Option<MobilityConfig>,
 }
 
@@ -129,20 +128,9 @@ impl Scenario {
         World::new(self)
     }
 
-    /// Requests the sharded executor with this many worker threads for
-    /// [`Scenario::run`] (see [`World::run_sharded`]). `1` (the default)
-    /// keeps the run serial; any value yields a report byte-identical to
-    /// the serial one.
-    pub fn with_threads(mut self, threads: usize) -> Scenario {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builds and runs to completion, sharded across the scenario's
-    /// configured thread count (serial when that is 1).
+    /// Builds and runs to completion.
     pub fn run(self) -> RunReport {
-        let threads = self.threads;
-        self.into_world().run_sharded(threads)
+        self.into_world().run()
     }
 
     /// Builds the world with a trace sink attached (see
@@ -240,7 +228,6 @@ impl ScenarioBuilder {
                 duration: SimDuration::from_secs(10),
                 warmup: SimDuration::from_secs(1),
                 full_fanout: false,
-                threads: 1,
                 mobility: None,
             },
             next_flow: 0,
@@ -344,14 +331,6 @@ impl ScenarioBuilder {
     /// ones — the model draws from its own substream of the run seed.
     pub fn mobility(mut self, config: MobilityConfig) -> ScenarioBuilder {
         self.scenario.mobility = Some(config);
-        self
-    }
-
-    /// Worker-thread budget for [`Scenario::run`]: values above 1 select
-    /// the sharded executor (see [`World::run_sharded`]), whose schedule
-    /// is byte-identical to the serial one.
-    pub fn threads(mut self, threads: usize) -> ScenarioBuilder {
-        self.scenario.threads = threads.max(1);
         self
     }
 
@@ -469,11 +448,20 @@ impl ScenarioBuilder {
     /// # Panics
     ///
     /// Panics if a flow references a missing station, a flow loops onto
-    /// its source, the warm-up is not shorter than the duration, or there
-    /// are no stations.
+    /// its source, the warm-up is not shorter than the duration, there
+    /// are no stations, or a station has a non-finite (NaN or infinite)
+    /// coordinate.
     pub fn build(self) -> Scenario {
         let s = &self.scenario;
         assert!(!s.positions.is_empty(), "scenario has no stations");
+        for (i, p) in s.positions.iter().enumerate() {
+            assert!(
+                p.x.is_finite() && p.y.is_finite(),
+                "station {i} has a non-finite position ({}, {})",
+                p.x,
+                p.y
+            );
+        }
         assert!(
             s.warmup < s.duration,
             "warmup {} must be shorter than duration {}",
@@ -546,6 +534,33 @@ mod tests {
     #[should_panic(expected = "no stations")]
     fn empty_scenario_panics() {
         let _ = ScenarioBuilder::new(PhyRate::R2).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite position")]
+    fn nan_station_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, f64::NAN])
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite position")]
+    fn infinite_station_panics() {
+        let mut b = ScenarioBuilder::new(PhyRate::R2).line(&[0.0]);
+        b.station(Position {
+            x: 0.0,
+            y: f64::INFINITY,
+        });
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite position")]
+    fn negative_infinite_station_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[f64::NEG_INFINITY, 5.0])
+            .build();
     }
 
     #[test]

@@ -7,11 +7,7 @@
 //!
 //! The event loop is deliberately serial: reproducibility of a simulation
 //! run given a seed is a correctness requirement for the experiments built
-//! on top, and a work-stealing executor would trade that away. Parallelism
-//! is offered *inside* an event instead — [`WorkerPool`] provides a
-//! low-latency fork-join broadcast that higher layers use to fan
-//! independent per-receiver work across cores while the event schedule
-//! stays byte-identical to single-threaded execution.
+//! on top, and a work-stealing executor would trade that away.
 //!
 //! # Example
 //!
@@ -33,16 +29,15 @@
 //! assert!(sim.pop().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
 mod probe;
 mod queue;
 mod rng;
 mod sim;
 mod time;
 
-pub use pool::{SharedMut, WorkerPool};
 pub use probe::{NoProbe, Probe, ProbeReport, ScopeStats, WallProbe};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;

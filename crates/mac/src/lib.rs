@@ -33,6 +33,7 @@
 //! assert!(matches!(out[0], MacAction::StartTimer { kind: TimerKind::Difs, .. }));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arf;

@@ -20,6 +20,7 @@
 //! Packets carry byte *counts*, not byte contents: the simulator needs
 //! airtime and header arithmetic, never payload data.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;

@@ -211,120 +211,6 @@ fn advance_and_read(
     Db(extra_loss + deviation)
 }
 
-/// A caller-owned AR(1) coefficient memo: `(dt_bits, ρ, √(1-ρ²))`.
-///
-/// [`Shadowing`] keeps one of these internally for the serial scatter
-/// path (every audible link of one transmitter advances with the same
-/// `dt`, so one `exp`+`sqrt` pair serves the whole slice). Parallel
-/// scatter workers each own one instead — the memo only short-circuits
-/// *recomputation* of a pure function of `dt`, so per-worker memos
-/// produce bit-identical samples to the shared one.
-#[derive(Debug, Default, Clone)]
-pub struct Ar1Memo(Option<(u64, f64, f64)>);
-
-impl Ar1Memo {
-    /// An empty memo (first use pays the `exp`+`sqrt`).
-    pub fn new() -> Ar1Memo {
-        Ar1Memo(None)
-    }
-}
-
-/// Samples the slot-stored link `tx → rx` at `now`: the one shadowing
-/// process shared — deliberately, as the single source of truth — by
-/// [`Shadowing::sample_slot`] (serial, `&mut self`) and
-/// [`ShadowView::sample_slot`] (parallel, disjoint raw slots), so the
-/// two paths cannot drift. All profile scalars arrive precomputed.
-#[allow(clippy::too_many_arguments)] // flat on purpose: the hot per-receiver call
-#[inline]
-fn sample_slot_entry(
-    entry: &mut Option<(LinkState, SimRng)>,
-    master: &SimRng,
-    tx: NodeId,
-    rx: NodeId,
-    distance: Meters,
-    now: SimTime,
-    extra_loss: f64,
-    sigma_slow: f64,
-    sigma_fast: f64,
-    sigma_full_distance: f64,
-    tau: f64,
-    memo: &mut Ar1Memo,
-) -> Db {
-    let scale = (distance.0 / sigma_full_distance.max(1e-9)).clamp(0.0, 1.0);
-    let slow = sigma_slow * scale;
-    let fast = sigma_fast * scale;
-    if slow == 0.0 && fast == 0.0 {
-        return Db(extra_loss);
-    }
-    let (state, rng) =
-        entry.get_or_insert_with(|| init_link_state(master, tx, rx, slow, fast, now));
-    advance_and_read(state, rng, extra_loss, fast, tau, now, &mut memo.0)
-}
-
-/// A `Send + Sync` window onto a [`Shadowing`]'s dense slot store for
-/// parallel scatter: raw slot access plus copies of the profile scalars.
-///
-/// Obtained via [`Shadowing::view`]; the lifetime pins the owning
-/// process, but disjointness of concurrent slot access is the caller's
-/// obligation (see [`ShadowView::sample_slot`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowView<'a> {
-    slots: *mut Option<(LinkState, SimRng)>,
-    len: usize,
-    master: &'a SimRng,
-    extra_loss: f64,
-    sigma_slow: f64,
-    sigma_fast: f64,
-    sigma_full_distance: f64,
-    tau: f64,
-}
-
-// SAFETY: the raw slot pointer is only dereferenced inside
-// `sample_slot`, whose contract requires disjoint slots across
-// concurrent callers; everything else is shared-read scalars.
-unsafe impl Send for ShadowView<'_> {}
-unsafe impl Sync for ShadowView<'_> {}
-
-impl ShadowView<'_> {
-    /// Same process as [`Shadowing::sample_slot`] — both delegate to one
-    /// shared helper — with the link state read through the raw slot
-    /// pointer and the AR(1) memo owned by the caller.
-    ///
-    /// # Safety
-    ///
-    /// No two concurrent calls (on any clone of this view) may pass the
-    /// same `slot`, and the `Shadowing` this view was created from must
-    /// not be used while any call is live.
-    pub unsafe fn sample_slot(
-        &self,
-        slot: usize,
-        tx: NodeId,
-        rx: NodeId,
-        distance: Meters,
-        now: SimTime,
-        memo: &mut Ar1Memo,
-    ) -> Db {
-        debug_assert!(slot < self.len, "slot {slot} out of range {}", self.len);
-        // SAFETY: slot is in bounds (the view was built from the live
-        // slot store) and the caller guarantees exclusive access to it.
-        let entry = unsafe { &mut *self.slots.add(slot) };
-        sample_slot_entry(
-            entry,
-            self.master,
-            tx,
-            rx,
-            distance,
-            now,
-            self.extra_loss,
-            self.sigma_slow,
-            self.sigma_fast,
-            self.sigma_full_distance,
-            self.tau,
-            memo,
-        )
-    }
-}
-
 /// The per-link shadowing process for one simulation run.
 ///
 /// Link state lives in one of two stores, and each directed link uses
@@ -341,7 +227,9 @@ pub struct Shadowing {
     master: SimRng,
     links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
     slots: Vec<Option<(LinkState, SimRng)>>,
-    ar1_memo: Ar1Memo,
+    /// AR(1) coefficient memo `(dt_bits, ρ, √(1-ρ²))` shared by every
+    /// sample (see `advance_and_read`).
+    ar1_memo: Option<(u64, f64, f64)>,
 }
 
 impl Shadowing {
@@ -354,7 +242,7 @@ impl Shadowing {
             master,
             links: HashMap::new(),
             slots: Vec::new(),
-            ar1_memo: Ar1Memo::new(),
+            ar1_memo: None,
         }
     }
 
@@ -399,7 +287,7 @@ impl Shadowing {
             fast,
             tau,
             now,
-            &mut self.ar1_memo.0,
+            &mut self.ar1_memo,
         )
     }
 
@@ -416,19 +304,22 @@ impl Shadowing {
         distance: Meters,
         now: SimTime,
     ) -> Db {
+        let scale = (distance.0 / self.profile.sigma_full_distance.0.max(1e-9)).clamp(0.0, 1.0);
+        let slow = self.profile.sigma_slow.0 * scale;
+        let fast = self.profile.sigma_fast.0 * scale;
+        if slow == 0.0 && fast == 0.0 {
+            return self.profile.extra_loss;
+        }
         let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        sample_slot_entry(
-            &mut self.slots[slot],
-            &self.master,
-            tx,
-            rx,
-            distance,
-            now,
+        let (state, rng) = self.slots[slot]
+            .get_or_insert_with(|| init_link_state(&self.master, tx, rx, slow, fast, now));
+        advance_and_read(
+            state,
+            rng,
             self.profile.extra_loss.0,
-            self.profile.sigma_slow.0,
-            self.profile.sigma_fast.0,
-            self.profile.sigma_full_distance.0,
+            fast,
             tau,
+            now,
             &mut self.ar1_memo,
         )
     }
@@ -501,24 +392,7 @@ impl Shadowing {
             master: self.master.clone(),
             links: HashMap::new(),
             slots: Vec::new(),
-            ar1_memo: Ar1Memo::new(),
-        }
-    }
-
-    /// A `Send + Sync` view over the dense slot store for parallel
-    /// scatter. Takes `&mut self` so no other access can overlap the
-    /// borrow; disjointness *between* the view's concurrent users is
-    /// their contract (see [`ShadowView::sample_slot`]).
-    pub fn view(&mut self) -> ShadowView<'_> {
-        ShadowView {
-            slots: self.slots.as_mut_ptr(),
-            len: self.slots.len(),
-            master: &self.master,
-            extra_loss: self.profile.extra_loss.0,
-            sigma_slow: self.profile.sigma_slow.0,
-            sigma_fast: self.profile.sigma_fast.0,
-            sigma_full_distance: self.profile.sigma_full_distance.0,
-            tau: self.profile.coherence.as_secs_f64().max(1e-9),
+            ar1_memo: None,
         }
     }
 }
@@ -639,33 +513,6 @@ mod tests {
                 .0
                 .to_bits()
         );
-    }
-
-    /// The parallel view must realize the exact same per-link process as
-    /// the serial slot path — including when every call uses a fresh,
-    /// cold [`Ar1Memo`] (the memo only skips recomputing a pure function
-    /// of `dt`, so cold and warm memos yield identical bits).
-    #[test]
-    fn view_path_is_bitwise_identical_to_serial_slots() {
-        let mut serial = process(DayProfile::clear(), 42);
-        let mut viewed = process(DayProfile::clear(), 42);
-        serial.reserve_slots(6);
-        viewed.reserve_slots(6);
-        for k in 0..60u64 {
-            let t = SimTime::from_millis(k * k % 89 + k * 5);
-            let (slot, tx, rx) = match k % 3 {
-                0 => (0, NodeId(3), NodeId(9)),
-                1 => (4, NodeId(9), NodeId(3)),
-                _ => (5, NodeId(7), NodeId(2)),
-            };
-            let d = Meters(40.0 + (k % 4) as f64 * 30.0);
-            let want = serial.sample_slot(slot, tx, rx, d, t);
-            let view = viewed.view();
-            let mut memo = Ar1Memo::new();
-            // SAFETY: single-threaded; no overlapping slot access.
-            let got = unsafe { view.sample_slot(slot, tx, rx, d, t, &mut memo) };
-            assert_eq!(want.0.to_bits(), got.0.to_bits(), "slot {slot} at {t:?}");
-        }
     }
 
     #[test]

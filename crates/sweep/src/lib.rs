@@ -31,7 +31,6 @@
 //! let spec = SweepSpec::new(RunParams {
 //!     duration: SimDuration::from_millis(400),
 //!     warmup: SimDuration::from_millis(100),
-//!     threads: 1,
 //! })
 //! .scenarios(SweepScenario::figure(7))
 //! .seeds(1..=2);
@@ -44,6 +43,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

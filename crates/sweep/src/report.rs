@@ -390,7 +390,6 @@ mod tests {
             params: RunParams {
                 duration: SimDuration::from_secs(1),
                 warmup: SimDuration::from_millis(100),
-                threads: 1,
             },
         };
         CellOutcome {

@@ -83,8 +83,7 @@ pub enum SweepScenario {
     /// stations walk the random-waypoint model (PR 10's mobility family).
     /// Epoch commits re-derive only the moved stations' link state; the
     /// run report is bitwise-independent of the incremental-vs-rebuild
-    /// commit mode, so neither the mode nor the thread count enters the
-    /// cell key.
+    /// commit mode, so the mode does not enter the cell key.
     MobileDisk {
         /// Number of stations (≥ 6).
         n: u32,
@@ -323,7 +322,6 @@ impl SweepScenario {
                     seed,
                     duration: params.duration,
                     warmup: params.warmup,
-                    threads: params.threads,
                 };
                 four_station::scenario(cfg, rate, layout, transport, scheme)
             }
@@ -449,7 +447,6 @@ impl SweepScenario {
                     seed,
                     duration: params.duration,
                     warmup: params.warmup,
-                    threads: params.threads,
                 };
                 hidden::hidden_triple(cfg, rate, scheme, payload_bytes)
             }
@@ -631,23 +628,16 @@ pub struct RunParams {
     pub duration: SimDuration,
     /// Warm-up excluded from throughput windows.
     pub warmup: SimDuration,
-    /// Worker threads per cell run (sharded executor above 1; see
-    /// `World::run_sharded`). Execution-only — a cell's report is
-    /// byte-identical at any thread count, so this field is deliberately
-    /// **excluded from the cell key**: cached results stay valid across
-    /// thread budgets.
-    pub threads: usize,
 }
 
 impl RunParams {
     /// The `repro` binary's full-fidelity settings: 20 s sessions, 2 s
-    /// warm-up (matches [`ExpConfig::full`]), serial execution.
+    /// warm-up (matches [`ExpConfig::full`]).
     pub fn full() -> RunParams {
         let c = ExpConfig::full();
         RunParams {
             duration: c.duration,
             warmup: c.warmup,
-            threads: 1,
         }
     }
 
@@ -657,18 +647,10 @@ impl RunParams {
         RunParams {
             duration: c.duration,
             warmup: c.warmup,
-            threads: 1,
         }
     }
 
-    /// This parameter set with the given per-run worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> RunParams {
-        self.threads = threads.max(1);
-        self
-    }
-
     fn encode(&self, h: &mut StableHasher) {
-        // `threads` intentionally absent: it cannot change the result.
         h.write_u64(self.duration.as_nanos());
         h.write_u64(self.warmup.as_nanos());
     }
@@ -730,7 +712,6 @@ impl CellSpec {
         self.scenario
             .build(self.params, self.seed)
             .tune_mac(|mac| self.mac.apply(mac))
-            .with_threads(self.params.threads)
     }
 }
 
@@ -843,7 +824,6 @@ mod tests {
         RunParams {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::from_millis(200),
-            threads: 1,
         }
     }
 
@@ -877,7 +857,6 @@ mod tests {
             params: RunParams {
                 duration: SimDuration::from_secs(3),
                 warmup: base.params.warmup,
-                threads: 1,
             },
             ..base
         };
@@ -966,7 +945,6 @@ mod tests {
             params: RunParams {
                 duration: SimDuration::from_millis(400),
                 warmup: SimDuration::from_millis(100),
-                threads: 1,
             },
         };
         // The tuned scenario still runs, and the axis reached the MAC.
@@ -996,7 +974,6 @@ mod tests {
             params: RunParams {
                 duration: SimDuration::from_millis(400),
                 warmup: SimDuration::from_millis(100),
-                threads: 1,
             },
         };
         let report = cell.build().run();
@@ -1036,7 +1013,6 @@ mod tests {
             params: RunParams {
                 duration: SimDuration::from_millis(400),
                 warmup: SimDuration::from_millis(100),
-                threads: 1,
             },
         };
         let report = cell.build().run();
@@ -1177,7 +1153,6 @@ mod tests {
         let params = RunParams {
             duration: SimDuration::from_millis(400),
             warmup: SimDuration::from_millis(100),
-            threads: 1,
         };
         // A 4-station chain moves end-to-end traffic over its static route.
         let chain = SweepScenario::Chain {

@@ -59,7 +59,6 @@ fn cell_keys_are_golden() {
         params: RunParams {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::from_millis(250),
-            threads: 1,
         },
     };
     assert_eq!(two.key().to_string(), "1040f6d12c452992");
@@ -74,7 +73,6 @@ fn mac_axis_and_hidden_triple_keys_are_golden() {
     let params = RunParams {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     };
     let hidden: Vec<CellSpec> = SweepScenario::hidden3()
         .into_iter()
@@ -130,7 +128,6 @@ fn large_topology_cell_keys_are_golden() {
     let params = RunParams {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     };
     let expected = [
         (
@@ -201,7 +198,6 @@ fn chain16_sweep_is_deterministic_and_caches() {
     let spec = SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     })
     .scenario(SweepScenario::Chain {
         n: 16,
@@ -239,7 +235,6 @@ fn mobile_disk_sweep_is_deterministic_and_caches() {
     let spec = SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(400),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     })
     .scenario(SweepScenario::MobileDisk {
         n: 12,
@@ -291,7 +286,6 @@ fn mac_grid_sweep_is_deterministic_and_caches() {
     let spec = SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     })
     .scenarios(SweepScenario::hidden3())
     .mac_axes(axes)
@@ -329,7 +323,6 @@ fn spec_32_cells() -> SweepSpec {
     SweepSpec::new(RunParams {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     })
     .scenarios(scenarios)
     .seeds(1..=4)

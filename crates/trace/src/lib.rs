@@ -25,6 +25,7 @@
 //! `desim` at the bottom of the dependency graph and every layer above can
 //! emit into it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod jsonl;

@@ -29,6 +29,8 @@
 //! assert!(report.flow(dot11_testbed::net::FlowId(0)).throughput_kbps > 500.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use desim;
 pub use dot11_adhoc as adhoc;
 pub use dot11_mac as mac;

@@ -117,7 +117,6 @@ fn ledger_conserves_on_figure7_and_figure12_cells() {
     let params = RunParams {
         duration: SimDuration::from_millis(700),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     };
     for fig in [7, 12] {
         for cell in SweepScenario::figure(fig) {
@@ -149,7 +148,6 @@ fn ledger_conserves_on_a_random_disk() {
     let params = RunParams {
         duration: SimDuration::from_millis(500),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     };
     for seed in [1, 2, 3] {
         let report = cell.build(params, seed).run();

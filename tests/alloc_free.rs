@@ -49,7 +49,6 @@ fn steady_state_frame_pipeline_does_not_allocate() {
         seed: 3,
         duration: SimDuration::from_secs(2),
         warmup: SimDuration::from_millis(250),
-        threads: 1,
     };
     let mut world = scenario(
         cfg,
