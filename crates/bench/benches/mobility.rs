@@ -5,10 +5,14 @@
 //! (a few audible neighbors each — a sparse wide-area deployment), a
 //! small mover fraction (~0.5%, the regime mobility epochs live in)
 //! bounces between two position sets every iteration. `rebuild_nN` times
-//! `Medium::commit_epoch_rebuild` (tear-down + reconstruction with
-//! state transplant — the O(N·degree) reference); `epoch_nN` times the
-//! incremental `Medium::commit_epoch` (dirty-neighborhood recompute,
-//! O(moved)) and reports `speedup` = rebuild median / epoch median.
+//! `Medium::commit_epoch_rebuild` (every slice diffed at the old and new
+//! positions, then reconstruction with state transplant — the
+//! O(N·degree) reference); `epoch_nN` times the incremental
+//! `Medium::commit_epoch` (geometric churn around the movers, grid
+//! re-binning, and a recompute of the built slices near them — O(moved))
+//! and reports `speedup` = rebuild median / epoch median. No station
+//! transmits here, so no slice is ever built: `epoch_nN` times the churn
+//! accounting and grid upkeep every epoch pays.
 //! The two paths produce bitwise-identical link state — that equivalence
 //! is pinned by the phy crate's `incremental_epochs_match_rebuild_bitwise`
 //! and the world-level `tests/mobility.rs`; only the wall clock differs.
@@ -103,8 +107,8 @@ fn bench_commits(
 ) {
     let mut medium = medium(n);
     let sets = move_sets(n);
-    // Install the steady state (capacity slack, epoch grid) before
-    // timing, exactly as a run's first epochs would.
+    // Run the first out-and-back pair before timing, as a run's first
+    // epochs would.
     commit(&mut medium, &sets[0]);
     commit(&mut medium, &sets[1]);
     let mut flip = 0usize;

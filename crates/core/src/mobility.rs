@@ -161,8 +161,16 @@ pub fn parse_trace(text: &str) -> Result<Vec<TracePoint>, String> {
         if !x.is_finite() || !y.is_finite() {
             return Err(format!("trace line {}: coordinates must be finite", ln + 1));
         }
+        // `u64::MAX as f64` rounds up to 2^64, the first value past range.
+        let ns = (at * 1e9).round();
+        if ns >= u64::MAX as f64 {
+            return Err(format!(
+                "trace line {}: time {at} s overflows the nanosecond clock",
+                ln + 1
+            ));
+        }
         points.push(TracePoint {
-            at: SimDuration::from_nanos((at * 1e9).round() as u64),
+            at: SimDuration::from_nanos(ns as u64),
             node: NodeId(node),
             x,
             y,
@@ -395,6 +403,17 @@ mod tests {
         assert!(parse_trace("x 0 1 2").unwrap_err().contains("bad time"));
         assert!(parse_trace("-1 0 1 2").unwrap_err().contains(">= 0"));
         assert!(parse_trace("0 0 inf 2").unwrap_err().contains("finite"));
+    }
+
+    #[test]
+    fn parse_trace_rejects_times_past_the_nanosecond_clock() {
+        // ~1.8e10 s is the last time u64 nanoseconds can hold.
+        let last = parse_trace("18446744073 0 0 0").unwrap();
+        assert!((last[0].at.as_secs_f64() - 18_446_744_073.0).abs() < 1e-3);
+        for t in ["18446744074", "1e11", "1e300"] {
+            let err = parse_trace(&format!("{t} 0 0 0")).unwrap_err();
+            assert!(err.contains("overflows"), "{t}: {err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use dot11_phy::{DayProfile, NodeId, PathLossModel, PhyRate, Position, RadioConfi
 use dot11_trace::TraceSink;
 
 use crate::calib::{calibrated_dual_slope, calibrated_path_loss};
-use crate::mobility::MobilityConfig;
+use crate::mobility::{MobilityConfig, MovementModel};
 use crate::stats::RunReport;
 use crate::world::World;
 
@@ -103,6 +103,39 @@ impl std::fmt::Debug for Scenario {
     }
 }
 
+/// The mobility checks [`ScenarioBuilder::build`] and
+/// [`Scenario::with_mobility`] share. Each rejects input the movement
+/// engine cannot apply: a zero epoch, a non-finite waypoint speed (the
+/// walk would never finish its first epoch), a trace waypoint for a node
+/// that is not one of the `stations` stations (it would be dropped, and
+/// the run would silently stay static), and a non-finite trace
+/// coordinate (it would reach the medium as a NaN position).
+fn check_mobility(config: &MobilityConfig, stations: usize) {
+    assert!(!config.epoch.is_zero(), "mobility epoch must be positive");
+    match &config.model {
+        MovementModel::Waypoint { speed_mps, .. } => assert!(
+            speed_mps.is_finite(),
+            "waypoint speed must be finite, got {speed_mps}"
+        ),
+        MovementModel::Trace { points } => {
+            for p in points {
+                assert!(
+                    p.node.index() < stations,
+                    "mobility trace names node {}, but the scenario has {stations} stations",
+                    p.node.0
+                );
+                assert!(
+                    p.x.is_finite() && p.y.is_finite(),
+                    "mobility trace point for node {} has a non-finite position ({}, {})",
+                    p.node.0,
+                    p.x,
+                    p.y
+                );
+            }
+        }
+    }
+}
+
 impl Scenario {
     /// Re-tunes the MAC configuration of an already-built scenario —
     /// the hook the sweep layer's MAC axis uses to move CW bounds, retry
@@ -117,8 +150,14 @@ impl Scenario {
     /// already-built scenario — the hook the `repro --mobility` flag uses
     /// to set the paper's static topologies in motion without
     /// re-deriving geometry or traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the epoch is zero, the waypoint speed is not finite, or
+    /// a trace waypoint names a node that is not one of the scenario's
+    /// stations or has a non-finite coordinate.
     pub fn with_mobility(mut self, config: MobilityConfig) -> Scenario {
-        assert!(!config.epoch.is_zero(), "mobility epoch must be positive");
+        check_mobility(&config, self.positions.len());
         self.mobility = Some(config);
         self
     }
@@ -449,7 +488,10 @@ impl ScenarioBuilder {
     ///
     /// Panics if a flow references a missing station, a flow loops onto
     /// its source, the warm-up is not shorter than the duration, there
-    /// are no stations, or a station has a non-finite (NaN or infinite)
+    /// are no stations, a station has a non-finite (NaN or infinite)
+    /// coordinate, or the mobility configuration cannot apply: a zero
+    /// epoch, a non-finite waypoint speed, or a trace waypoint that names
+    /// a node which is not one of the stations or has a non-finite
     /// coordinate.
     pub fn build(self) -> Scenario {
         let s = &self.scenario;
@@ -477,7 +519,7 @@ impl ScenarioBuilder {
             assert!(f.src != f.dst, "flow {} loops onto its source", f.id);
         }
         if let Some(m) = &s.mobility {
-            assert!(!m.epoch.is_zero(), "mobility epoch must be positive");
+            check_mobility(m, s.positions.len());
         }
         self.scenario
     }
@@ -571,5 +613,63 @@ mod tests {
             .duration(SimDuration::from_secs(1))
             .warmup(SimDuration::from_secs(2))
             .build();
+    }
+
+    fn trace_point(node: u32, x: f64) -> crate::mobility::TracePoint {
+        crate::mobility::TracePoint {
+            at: SimDuration::from_secs(1),
+            node: NodeId(node),
+            x,
+            y: 0.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "waypoint speed must be finite, got inf")]
+    fn infinite_waypoint_speed_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0])
+            .mobility(MobilityConfig::waypoint(f64::INFINITY))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "waypoint speed must be finite, got NaN")]
+    fn nan_waypoint_speed_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0])
+            .build()
+            .with_mobility(MobilityConfig::waypoint(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "mobility trace names node 2, but the scenario has 2 stations")]
+    fn trace_node_outside_the_stations_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0])
+            .mobility(MobilityConfig::trace(vec![
+                trace_point(1, 9.0),
+                trace_point(2, 9.0),
+            ]))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "mobility trace point for node 1 has a non-finite position (NaN, 0)")]
+    fn non_finite_trace_coordinate_panics() {
+        let _ = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0])
+            .build()
+            .with_mobility(MobilityConfig::trace(vec![trace_point(1, f64::NAN)]));
+    }
+
+    #[test]
+    fn finite_mobility_on_known_stations_is_accepted() {
+        let s = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0, 10.0])
+            .mobility(MobilityConfig::waypoint(1.5))
+            .build()
+            .with_mobility(MobilityConfig::trace(vec![trace_point(2, 9.0)]));
+        assert!(s.mobility.is_some());
     }
 }

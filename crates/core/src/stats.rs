@@ -135,12 +135,11 @@ impl EventKindCounts {
 /// had to touch to track it. All zero on static scenarios.
 ///
 /// Each counter is the sum over epochs of the matching
-/// [`EpochChurn`](dot11_phy::EpochChurn) field. The one `EpochChurn`
-/// field deliberately *not* mirrored here is `compactions`: it reports an
-/// allocation strategy of the incremental path (the rebuild reference
-/// never compacts), and the incremental-vs-rebuild identity suite asserts
-/// whole reports — including these counters — bitwise equal across the
-/// two commit modes.
+/// [`EpochChurn`](dot11_phy::EpochChurn) field. The counters describe
+/// the full audible sets, built or not, and the incremental and rebuild
+/// commit modes report identical values, which lets the
+/// incremental-vs-rebuild identity suite assert whole reports —
+/// including these counters — bitwise equal across the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MobilityStats {
     /// Mobility epochs committed.

@@ -355,18 +355,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             sim.schedule_in_trailing(m.epoch, Event::TopologyUpdate);
             (engine, m.epoch, m.rebuild_epochs)
         });
-        // Pre-warm the delivery pool: at most one in-flight transmission
-        // per station (a keyed-up radio cannot start another), each
-        // scattering to at most max_audible_count() receivers — the
-        // audible sets shrink the pooled buffers along with the fan-out.
-        // Sizing it up front keeps the steady state allocation-free even
-        // when the first deep overlap happens late in a run.
-        let mut delivery_pool = BufPool::new();
         let n_stations = nodes.len();
-        let delivery_capacity = medium.max_audible_count();
-        for _ in 0..n_stations {
-            delivery_pool.put(Vec::with_capacity(delivery_capacity));
-        }
         let mut world = World {
             sim,
             medium,
@@ -386,7 +375,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             warmup,
             mac_action_pool: BufPool::new(),
             tcp_out_pool: BufPool::new(),
-            delivery_pool,
+            delivery_pool: BufPool::new(),
             packet_scratch: Vec::new(),
             kind_counts: EventKindCounts::default(),
             mobility,

@@ -80,8 +80,9 @@ const CCK11_CODING_GAIN: f64 = 0.316_227_766_016_837_94;
 /// (signal power over noise-plus-interference power, both in the chip
 /// bandwidth).
 ///
-/// Returns a value in `[0, 0.5]`; non-positive SINR returns the coin-flip
-/// bound 0.5.
+/// Returns a value in `[0, 0.5]`; non-positive (or NaN) SINR returns the
+/// coin-flip bound 0.5, and infinite SINR — a signal over a 0 mW noise
+/// floor with no interference — returns 0.
 ///
 /// # Example
 ///
@@ -92,8 +93,11 @@ const CCK11_CODING_GAIN: f64 = 0.316_227_766_016_837_94;
 /// assert!(ber(Modulation::Dbpsk, sinr) < ber(Modulation::Cck11, sinr));
 /// ```
 pub fn ber(modulation: Modulation, sinr: f64) -> f64 {
-    if !sinr.is_finite() || sinr <= 0.0 {
+    if sinr.is_nan() || sinr <= 0.0 {
         return 0.5;
+    }
+    if sinr == f64::INFINITY {
+        return 0.0;
     }
     let ebn0 = sinr * modulation.processing_gain();
     let pb = match modulation {
@@ -132,6 +136,22 @@ pub fn packet_success_prob(bit_error_rate: f64, bits: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn infinite_sinr_is_error_free_and_undefined_sinr_is_a_coin_flip() {
+        for m in [
+            Modulation::Dbpsk,
+            Modulation::Dqpsk,
+            Modulation::Cck5_5,
+            Modulation::Cck11,
+        ] {
+            assert_eq!(ber(m, f64::INFINITY), 0.0, "{m:?} at +inf");
+            assert_eq!(ber(m, f64::NAN), 0.5, "{m:?} at NaN");
+            for sinr in [0.0, -0.0, -1.0, f64::NEG_INFINITY] {
+                assert_eq!(ber(m, sinr), 0.5, "{m:?} at {sinr}");
+            }
+        }
+    }
 
     #[test]
     fn erfc_reference_points() {

@@ -143,10 +143,11 @@ pub(crate) struct LinkState {
     fast_db: f64,
 }
 
-/// One dense-store cell: the link's AR(1)/slow state plus its private
-/// substream, or `None` before first sample. [`crate::Medium`]'s epoch
-/// commit relocates these wholesale when the CSR layout changes.
-pub(crate) type SlotEntry = Option<(LinkState, SimRng)>;
+/// A directed link's shadowing state: its AR(1)/slow state plus its
+/// private substream, or `None` before first sample. Audible links keep
+/// it in their [`crate::Medium`] slice record; every other pair keeps it
+/// in the process's `HashMap` fallback.
+pub(crate) type LinkShadow = Option<(LinkState, SimRng)>;
 
 /// Initializes the state for the directed link `tx → rx`: derive the
 /// link's substream from the 15-byte `"shadow/" + tx + rx` label and draw
@@ -213,20 +214,19 @@ fn advance_and_read(
 
 /// The per-link shadowing process for one simulation run.
 ///
-/// Link state lives in one of two stores, and each directed link uses
-/// exactly one of them for its whole lifetime (the AR(1) state is
-/// sequential, so splitting a link across stores would fork its stream):
-///
-/// * a dense `slots` lane indexed by the owning [`crate::Medium`]'s CSR
-///   audible slot — the hot scatter path, no hashing;
-/// * a `HashMap` fallback for arbitrary pairs outside the audible sets
-///   (probes, tests, culled links queried directly).
+/// Each directed link's state lives in exactly one place for its whole
+/// lifetime (the AR(1) state is sequential, so splitting a link across
+/// two would fork its stream): the owning [`crate::Medium`]'s slice
+/// record for an audible link — the hot scatter path, no hashing — or a
+/// `HashMap` fallback for any other pair (probes, tests, culled links
+/// queried directly). Both go through one sample routine, and
+/// `init_link_state` is a pure function of `(master, tx, rx)`, so where
+/// the state lives, and when it was started, cannot show in the draws.
 #[derive(Debug)]
 pub struct Shadowing {
     profile: DayProfile,
     master: SimRng,
     links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
-    slots: Vec<Option<(LinkState, SimRng)>>,
     /// AR(1) coefficient memo `(dt_bits, ρ, √(1-ρ²))` shared by every
     /// sample (see `advance_and_read`).
     ar1_memo: Option<(u64, f64, f64)>,
@@ -241,7 +241,6 @@ impl Shadowing {
             profile,
             master,
             links: HashMap::new(),
-            slots: Vec::new(),
             ar1_memo: None,
         }
     }
@@ -249,13 +248,6 @@ impl Shadowing {
     /// The active day profile.
     pub fn profile(&self) -> &DayProfile {
         &self.profile
-    }
-
-    /// Sizes the dense slot store. Called once by [`crate::Medium`] with
-    /// the total CSR audible-slot count; slots initialize lazily on first
-    /// sample.
-    pub fn reserve_slots(&mut self, n: usize) {
-        self.slots.resize_with(n, || None);
     }
 
     /// Samples the total excess loss (weather offset + shadowing) on the
@@ -266,39 +258,24 @@ impl Shadowing {
     /// reverse direction) are independent. Variance ramps with distance
     /// (see [`DayProfile::sigma_full_distance`]).
     ///
-    /// This is the HashMap-backed path for pairs without a CSR slot; a
-    /// slotted link must go through [`Shadowing::sample_slot`] instead.
+    /// This is the `HashMap`-backed path for pairs outside the audible
+    /// sets; an audible link's state lives in its slice record instead.
     pub fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
-        let scale = (distance.0 / self.profile.sigma_full_distance.0.max(1e-9)).clamp(0.0, 1.0);
-        let slow = self.profile.sigma_slow.0 * scale;
-        let fast = self.profile.sigma_fast.0 * scale;
-        if slow == 0.0 && fast == 0.0 {
-            return self.profile.extra_loss;
+        let mut link = self.links.remove(&(tx, rx));
+        let excess = self.sample_link(&mut link, tx, rx, distance, now);
+        if let Some(state) = link {
+            self.links.insert((tx, rx), state);
         }
-        let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        let (state, rng) = self
-            .links
-            .entry((tx, rx))
-            .or_insert_with(|| init_link_state(&self.master, tx, rx, slow, fast, now));
-        advance_and_read(
-            state,
-            rng,
-            self.profile.extra_loss.0,
-            fast,
-            tau,
-            now,
-            &mut self.ar1_memo,
-        )
+        excess
     }
 
-    /// Same process as [`Shadowing::sample`], but the link state lives in
-    /// the dense slot `slot` (the link's index in the owning `Medium`'s
-    /// CSR audible arrays) — no hashing on the scatter hot path. The
+    /// The one sample routine: advances the caller-held state `link` of
+    /// the directed link `tx → rx`, starting it on first sample. The
     /// AR(1) memo persists across calls on the owned process (one
     /// `exp`+`sqrt` serves a whole scatter slice).
-    pub fn sample_slot(
+    pub(crate) fn sample_link(
         &mut self,
-        slot: usize,
+        link: &mut LinkShadow,
         tx: NodeId,
         rx: NodeId,
         distance: Meters,
@@ -311,8 +288,8 @@ impl Shadowing {
             return self.profile.extra_loss;
         }
         let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        let (state, rng) = self.slots[slot]
-            .get_or_insert_with(|| init_link_state(&self.master, tx, rx, slow, fast, now));
+        let (state, rng) =
+            link.get_or_insert_with(|| init_link_state(&self.master, tx, rx, slow, fast, now));
         advance_and_read(
             state,
             rng,
@@ -326,43 +303,8 @@ impl Shadowing {
 
     // ---- epoch-commit support (crate-internal) ----------------------
     //
-    // [`crate::Medium::commit_epoch`] relocates surviving link state when
-    // the CSR layout changes and drops state whose endpoint moved. All of
-    // this is mechanical slot surgery: the per-link process itself (the
-    // substream label, the slow-then-fast draw order, the AR(1) advance)
-    // is untouched, and `init_link_state` is a pure function of
-    // `(master, tx, rx)` — which together are what make an incremental
-    // epoch bitwise-identical to a from-scratch rebuild.
-
-    /// Removes and returns the state of dense slot `slot`.
-    pub(crate) fn take_slot(&mut self, slot: usize) -> SlotEntry {
-        self.slots[slot].take()
-    }
-
-    /// Installs `entry` at dense slot `slot` (used to relocate a
-    /// surviving link's state to its new CSR slot).
-    pub(crate) fn put_slot(&mut self, slot: usize, entry: SlotEntry) {
-        self.slots[slot] = entry;
-    }
-
-    /// Drops the state of dense slot `slot`: the next sample re-derives
-    /// it from the master stream exactly as a fresh construction would.
-    pub(crate) fn clear_slot(&mut self, slot: usize) {
-        self.slots[slot] = None;
-    }
-
-    /// Rebuilds the dense store at `new_len` slots, relocating each
-    /// `(from, to)` entry of `moves` and dropping everything else.
-    /// Destination slots must be distinct.
-    pub(crate) fn remap_slots(&mut self, new_len: usize, moves: &[(u32, u32)]) {
-        let mut old = std::mem::take(&mut self.slots);
-        let mut slots: Vec<SlotEntry> = Vec::new();
-        slots.resize_with(new_len, || None);
-        for &(from, to) in moves {
-            slots[to as usize] = old[from as usize].take();
-        }
-        self.slots = slots;
-    }
+    // Slice-owned state is dropped or carried over by the owning
+    // `Medium` itself; these helpers handle the `HashMap` fallback.
 
     /// Drops every HashMap-backed link whose endpoint is flagged in
     /// `moved` (indexed by station id; out-of-range ids — probe pairs
@@ -391,7 +333,6 @@ impl Shadowing {
             profile: self.profile.clone(),
             master: self.master.clone(),
             links: HashMap::new(),
-            slots: Vec::new(),
             ar1_memo: None,
         }
     }
@@ -434,85 +375,30 @@ mod tests {
 
     #[test]
     fn slot_and_hashmap_paths_are_bitwise_identical() {
-        // The dense slot store and the HashMap fallback must realize the
-        // same per-link process: same substream label, same draw order,
-        // same AR(1) advance. Interleave two links with irregular lags so
-        // the dt-keyed coefficient memo is exercised across links.
+        // Record-owned state (the audible-slice path) and the HashMap
+        // fallback must realize the same per-link process: same
+        // substream label, same draw order, same AR(1) advance.
+        // Interleave two links with irregular lags so the dt-keyed
+        // coefficient memo is exercised across links.
         let mut a = process(DayProfile::clear(), 42);
         let mut b = process(DayProfile::clear(), 42);
-        b.reserve_slots(4);
+        let (mut fwd, mut rev): (LinkShadow, LinkShadow) = (None, None);
         for k in 0..50u64 {
             let t = SimTime::from_millis(k * k % 97 + k * 7);
             assert_eq!(
                 a.sample(NodeId(3), NodeId(9), Meters(100.0), t).0.to_bits(),
-                b.sample_slot(2, NodeId(3), NodeId(9), Meters(100.0), t)
+                b.sample_link(&mut fwd, NodeId(3), NodeId(9), Meters(100.0), t)
                     .0
                     .to_bits()
             );
             let t2 = SimTime::from_millis(k * 13 + 5);
             assert_eq!(
                 a.sample(NodeId(9), NodeId(3), Meters(60.0), t2).0.to_bits(),
-                b.sample_slot(0, NodeId(9), NodeId(3), Meters(60.0), t2)
+                b.sample_link(&mut rev, NodeId(9), NodeId(3), Meters(60.0), t2)
                     .0
                     .to_bits()
             );
         }
-    }
-
-    /// Epoch commits shuffle link state between dense slots; none of the
-    /// surgery primitives may fork a link's random trajectory, and a
-    /// cleared slot must re-derive bitwise the state a fresh process
-    /// would create (the RNG-substream invariance the incremental
-    /// mobility path rests on).
-    #[test]
-    fn relocated_slot_state_continues_the_same_trajectory() {
-        let mut a = process(DayProfile::clear(), 42);
-        let mut b = process(DayProfile::clear(), 42);
-        a.reserve_slots(8);
-        b.reserve_slots(8);
-        for k in 0..20u64 {
-            let t = SimTime::from_millis(k * 11 + 3);
-            assert_eq!(
-                a.sample_slot(1, NodeId(4), NodeId(6), Meters(90.0), t)
-                    .0
-                    .to_bits(),
-                b.sample_slot(1, NodeId(4), NodeId(6), Meters(90.0), t)
-                    .0
-                    .to_bits()
-            );
-        }
-        // Relocate the link's state to a different slot (as an in-place
-        // epoch splice does) …
-        let entry = b.take_slot(1);
-        b.put_slot(5, entry);
-        // … then via a full remap to a larger store (as a compaction does).
-        b.remap_slots(16, &[(5, 7)]);
-        for k in 20..40u64 {
-            let t = SimTime::from_millis(k * 11 + 3);
-            assert_eq!(
-                a.sample_slot(1, NodeId(4), NodeId(6), Meters(90.0), t)
-                    .0
-                    .to_bits(),
-                b.sample_slot(7, NodeId(4), NodeId(6), Meters(90.0), t)
-                    .0
-                    .to_bits(),
-                "relocation must not fork the trajectory"
-            );
-        }
-        // A cleared slot re-derives from the master: bitwise the state a
-        // fresh process would create for the same directed pair.
-        let mut c = process(DayProfile::clear(), 42);
-        c.reserve_slots(1);
-        b.clear_slot(7);
-        let t = SimTime::from_secs(9);
-        assert_eq!(
-            b.sample_slot(7, NodeId(4), NodeId(6), Meters(90.0), t)
-                .0
-                .to_bits(),
-            c.sample_slot(0, NodeId(4), NodeId(6), Meters(90.0), t)
-                .0
-                .to_bits()
-        );
     }
 
     #[test]

@@ -161,10 +161,18 @@ fn parse_mobility(spec: &str) -> dot11_adhoc::MobilityConfig {
                 eprintln!("repro: reading mobility trace {path}: {e}");
                 std::process::exit(1);
             });
-            MobilityConfig::trace(
-                parse_trace(&text)
-                    .unwrap_or_else(|e| usage(&format!("mobility trace {path}: {e}"))),
-            )
+            let points = parse_trace(&text)
+                .unwrap_or_else(|e| usage(&format!("mobility trace {path}: {e}")));
+            // The four-station figures are the only scenarios it moves; a
+            // waypoint for any other node could never apply.
+            let stations = FourStationLayout::Symmetric.positions().len();
+            if let Some(p) = points.iter().find(|p| p.node.index() >= stations) {
+                usage(&format!(
+                    "mobility trace {path}: node {} is not one of the {stations} stations",
+                    p.node.0
+                ));
+            }
+            MobilityConfig::trace(points)
         }
         other => usage(&format!(
             "unknown mobility model {other:?} (try waypoint, trace)"
