@@ -10,8 +10,9 @@
 //!   Table 2 to three decimals ([`analytic`]);
 //! * the **calibrated outdoor radio model** whose per-rate transmission
 //!   ranges land on the paper's Table 3 ([`calib`]);
-//! * the **simulation world**: nodes with app/TCP-UDP/MAC/PHY stacks on a
-//!   shared medium ([`node`], [`world`]), built from declarative
+//! * the **simulation world**: stations with MAC/PHY stacks on a shared
+//!   medium, and a flow table holding each flow's application and
+//!   TCP/UDP endpoints ([`node`], [`world`]), built from declarative
 //!   scenarios ([`scenario`]);
 //! * **one experiment module per table/figure** of the paper
 //!   ([`experiments`]), each returning structured rows used by the

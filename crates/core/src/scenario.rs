@@ -449,17 +449,8 @@ impl ScenarioBuilder {
     /// Adds a flow from station `src` to station `dst` (indices into the
     /// stations added so far). Returns the builder for chaining; flow ids
     /// are assigned densely from 0 in call order.
-    pub fn flow(mut self, src: u32, dst: u32, traffic: Traffic) -> ScenarioBuilder {
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.scenario.flows.push(FlowSpec {
-            id,
-            src: NodeId(src),
-            dst: NodeId(dst),
-            traffic,
-            start: SimDuration::ZERO,
-        });
-        self
+    pub fn flow(self, src: u32, dst: u32, traffic: Traffic) -> ScenarioBuilder {
+        self.flow_at(src, dst, traffic, SimDuration::ZERO)
     }
 
     /// Like [`ScenarioBuilder::flow`] with a delayed start.
@@ -487,7 +478,9 @@ impl ScenarioBuilder {
     /// # Panics
     ///
     /// Panics if a flow references a missing station, a flow loops onto
-    /// its source, the warm-up is not shorter than the duration, there
+    /// its source, a flow's traffic would hang the run or never send (a
+    /// zero TCP MSS, a zero CBR interval, a CBR limit of 0 datagrams, or
+    /// a zero saturated backlog), the warm-up is not shorter than the duration, there
     /// are no stations, a station has a non-finite (NaN or infinite)
     /// coordinate, or the mobility configuration cannot apply: a zero
     /// epoch, a non-finite waypoint speed, or a trace waypoint that names
@@ -517,6 +510,18 @@ impl ScenarioBuilder {
                 f.id
             );
             assert!(f.src != f.dst, "flow {} loops onto its source", f.id);
+            match f.traffic {
+                Traffic::SaturatedUdp { backlog, .. } => {
+                    assert!(backlog > 0, "flow {} has a zero saturated backlog", f.id)
+                }
+                Traffic::CbrUdp {
+                    interval, limit, ..
+                } => {
+                    assert!(!interval.is_zero(), "flow {} has a zero CBR interval", f.id);
+                    assert!(limit != Some(0), "flow {} has a CBR limit of 0", f.id);
+                }
+                Traffic::BulkTcp { mss } => assert!(mss > 0, "flow {} has a zero TCP MSS", f.id),
+            }
         }
         if let Some(m) = &s.mobility {
             check_mobility(m, s.positions.len());
@@ -570,6 +575,50 @@ mod tests {
             .line(&[0.0, 5.0])
             .flow(1, 1, Traffic::BulkTcp { mss: 512 })
             .build();
+    }
+
+    fn two_stations_with(traffic: Traffic) -> Scenario {
+        ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 5.0])
+            .duration(SimDuration::from_millis(200))
+            .warmup(SimDuration::from_millis(50))
+            .flow(0, 1, traffic)
+            .build()
+    }
+
+    #[test]
+    #[should_panic(expected = "flow flow0 has a zero TCP MSS")]
+    fn zero_mss_panics() {
+        let _ = two_stations_with(Traffic::BulkTcp { mss: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow flow0 has a zero CBR interval")]
+    fn zero_cbr_interval_panics() {
+        let _ = two_stations_with(Traffic::CbrUdp {
+            payload_bytes: 512,
+            interval: SimDuration::ZERO,
+            limit: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow flow0 has a CBR limit of 0")]
+    fn zero_cbr_limit_panics() {
+        let _ = two_stations_with(Traffic::CbrUdp {
+            payload_bytes: 512,
+            interval: SimDuration::from_millis(10),
+            limit: Some(0),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow flow0 has a zero saturated backlog")]
+    fn zero_backlog_panics() {
+        let _ = two_stations_with(Traffic::SaturatedUdp {
+            payload_bytes: 512,
+            backlog: 0,
+        });
     }
 
     #[test]

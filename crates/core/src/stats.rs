@@ -5,6 +5,8 @@ use dot11_mac::{ArfCounters, MacCounters};
 use dot11_net::FlowId;
 use dot11_phy::{state::PhyCounters, Airtime, NodeId, PhyRate};
 
+use crate::world::{EVENT_KINDS, PROBE_SCOPES};
+
 /// Measured results for one flow.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowReport {
@@ -62,71 +64,22 @@ pub struct NodeReport {
 /// `mac_backoff_slot` explosion while everything else holds still).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventKindCounts {
-    /// Traffic-source starts.
-    pub flow_start: u64,
-    /// Signal batches arriving at the receivers (one per transmission).
-    pub signal_start: u64,
-    /// Signal batches leaving the receivers (one per transmission).
-    pub signal_end: u64,
-    /// Transmitter finished keying a frame out.
-    pub tx_air_end: u64,
-    /// DIFS/EIFS deferral expiries.
-    pub mac_difs: u64,
-    /// Coalesced bulk-backoff expiries (all but the final slot).
-    pub mac_backoff_bulk: u64,
-    /// Final backoff-slot expiries.
-    pub mac_backoff_slot: u64,
-    /// CTS timeouts.
-    pub mac_cts_timeout: u64,
-    /// ACK timeouts.
-    pub mac_ack_timeout: u64,
-    /// SIFS-before-response expiries.
-    pub mac_sifs_response: u64,
-    /// SIFS-before-data expiries.
-    pub mac_sifs_data: u64,
-    /// NAV reservation expiries.
-    pub mac_nav_end: u64,
-    /// TCP retransmission timer expiries.
-    pub rto_timer: u64,
-    /// TCP delayed-ACK timer expiries.
-    pub delack_timer: u64,
-    /// Paced CBR source emissions.
-    pub cbr_tick: u64,
-    /// Warm-up boundary snapshots (one per run).
-    pub measure_start: u64,
-    /// Mobility epoch commits (zero on static scenarios).
-    pub topology_update: u64,
+    /// Dispatched events per kind index: the profiler's kind scopes, named
+    /// by the head of [`PROBE_SCOPES`].
+    pub counts: [u64; EVENT_KINDS],
 }
 
 impl EventKindCounts {
-    /// Every counter with its stable snake_case name, in declaration
+    /// Every counter with its stable snake_case name, in kind-index
     /// order — the single source of truth for JSON emission and tests.
-    pub fn iter_named(&self) -> [(&'static str, u64); 17] {
-        [
-            ("flow_start", self.flow_start),
-            ("signal_start", self.signal_start),
-            ("signal_end", self.signal_end),
-            ("tx_air_end", self.tx_air_end),
-            ("mac_difs", self.mac_difs),
-            ("mac_backoff_bulk", self.mac_backoff_bulk),
-            ("mac_backoff_slot", self.mac_backoff_slot),
-            ("mac_cts_timeout", self.mac_cts_timeout),
-            ("mac_ack_timeout", self.mac_ack_timeout),
-            ("mac_sifs_response", self.mac_sifs_response),
-            ("mac_sifs_data", self.mac_sifs_data),
-            ("mac_nav_end", self.mac_nav_end),
-            ("rto_timer", self.rto_timer),
-            ("delack_timer", self.delack_timer),
-            ("cbr_tick", self.cbr_tick),
-            ("measure_start", self.measure_start),
-            ("topology_update", self.topology_update),
-        ]
+    pub fn iter_named(&self) -> [(&'static str, u64); EVENT_KINDS] {
+        std::array::from_fn(|k| (PROBE_SCOPES[k], self.counts[k]))
     }
 
     /// Sum over all kinds; equals the engine's total dispatched-event
     /// count when every dispatch is classified.
     pub fn total(&self) -> u64 {
-        self.iter_named().iter().map(|(_, v)| v).sum()
+        self.counts.iter().sum()
     }
 }
 
@@ -189,7 +142,7 @@ pub struct EngineStats {
     pub wall: std::time::Duration,
     /// Per-scope wall-time histogram, present only when the world ran
     /// with an armed [`desim::Probe`] (see
-    /// [`PROBE_SCOPES`](crate::world::PROBE_SCOPES) for the scope table).
+    /// [`PROBE_SCOPES`] for the scope table).
     pub profile: Option<desim::ProbeReport>,
 }
 
@@ -455,19 +408,18 @@ mod tests {
     fn kind_counts_total_and_names_stay_in_sync() {
         let mut kinds = EventKindCounts::default();
         assert_eq!(kinds.total(), 0);
-        kinds.signal_start = 3;
-        kinds.mac_backoff_bulk = 5;
-        kinds.measure_start = 1;
+        kinds.counts[1] = 3;
+        kinds.counts[5] = 5;
+        kinds.counts[15] = 1;
         assert_eq!(kinds.total(), 9);
         let named = kinds.iter_named();
         assert_eq!(named.len(), 17, "every Event kind has a named counter");
         let mut names: Vec<&str> = named.iter().map(|(n, _)| *n).collect();
         names.dedup();
         assert_eq!(names.len(), 17, "counter names are unique");
-        assert_eq!(
-            named.iter().find(|(n, _)| *n == "mac_backoff_bulk"),
-            Some(&("mac_backoff_bulk", 5))
-        );
+        assert_eq!(named[1], ("signal_start", 3));
+        assert_eq!(named[5], ("mac_backoff_bulk", 5));
+        assert_eq!(named[15], ("measure_start", 1));
     }
 
     #[test]
@@ -517,10 +469,8 @@ mod tests {
 
     #[test]
     fn attribution_sums_kind_scopes_only() {
-        let kinds = EventKindCounts {
-            signal_start: 2,
-            ..EventKindCounts::default()
-        };
+        let mut kinds = EventKindCounts::default();
+        kinds.counts[1] = 2;
         let scope = |name, total_ns| desim::ScopeStats {
             name,
             count: 1,

@@ -10,12 +10,9 @@
 //! flows from per-component substreams of the scenario seed. Two runs of
 //! the same scenario are bit-identical.
 
-use std::collections::HashMap;
-
 use desim::{EventHandle, NoProbe, Probe, SimDuration, SimRng, SimTime, Simulator};
 use dot11_mac::{DcfMac, FrameKind, MacAction, MacFrame, MacSdu, TimerKind};
-use dot11_net::{CbrSource, SaturatedSource, TcpConfig};
-use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput, TcpReceiver, TcpSender};
+use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput};
 use dot11_phy::{
     CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcomeKind, Shadowing, TxId, TxSignal,
     CULL_MARGIN_DB,
@@ -23,11 +20,9 @@ use dot11_phy::{
 use dot11_trace::{FrameClass, NullSink, RxErrorCause, TraceRecord, TraceSink};
 
 use crate::mobility::MobilityEngine;
-use crate::node::{Node, UdpSink};
-use crate::scenario::{FlowSpec, Scenario, Traffic};
-use crate::stats::{
-    EngineStats, EventKindCounts, FlowReport, MobilityStats, NodeReport, RunReport,
-};
+use crate::node::{Endpoints, Flow, Node};
+use crate::scenario::{Scenario, Traffic};
+use crate::stats::{EngineStats, EventKindCounts, MobilityStats, NodeReport, RunReport};
 
 fn frame_class(kind: FrameKind) -> FrameClass {
     match kind {
@@ -65,8 +60,6 @@ pub enum Event {
     TxAirEnd {
         /// The transmitter.
         node: NodeId,
-        /// The transmission.
-        tx_id: TxId,
     },
     /// A MAC timer fires.
     MacTimer {
@@ -75,24 +68,18 @@ pub enum Event {
         /// Which timer.
         kind: TimerKind,
     },
-    /// A TCP retransmission timer fires.
+    /// A TCP retransmission timer fires at the flow's sender.
     RtoTimer {
-        /// The sending station.
-        node: NodeId,
         /// The flow.
         flow: FlowId,
     },
-    /// A TCP delayed-ACK timer fires.
+    /// A TCP delayed-ACK timer fires at the flow's receiver.
     DelackTimer {
-        /// The receiving station.
-        node: NodeId,
         /// The flow.
         flow: FlowId,
     },
     /// A paced CBR source is due to emit.
     CbrTick {
-        /// The source station.
-        node: NodeId,
         /// The flow.
         flow: FlowId,
     },
@@ -105,11 +92,15 @@ pub enum Event {
     TopologyUpdate,
 }
 
-/// The profiler's scope table: one scope per [`Event`] kind (indices
-/// `0..17`, matching
-/// [`EventKindCounts::iter_named`](crate::stats::EventKindCounts::iter_named)
-/// order so per-scope counts can be cross-checked against the kind
-/// histogram), then the hot-path phase scopes.
+/// Number of event kinds: one per [`Event`] variant, with MAC timers
+/// broken out per [`TimerKind`].
+pub const EVENT_KINDS: usize = 17;
+
+/// The profiler's scope table: one scope per event kind (indices
+/// `0..EVENT_KINDS`, the kind index both the probe and the
+/// [`EventKindCounts`] histogram are keyed by, so
+/// [`EventKindCounts::iter_named`] takes its names from here), then the
+/// hot-path phase scopes.
 ///
 /// Kind scopes partition the dispatch loop: each popped event's handling
 /// is charged to exactly one. Phase scopes are *inclusive sub-regions*
@@ -117,7 +108,7 @@ pub enum Event {
 /// that transmits charges its scatter to both `phase_mac_actions` and
 /// `phase_scatter`), so they explain where kind time goes but do not sum
 /// with it.
-pub const PROBE_SCOPES: [&str; 22] = [
+pub const PROBE_SCOPES: [&str; EVENT_KINDS + 5] = [
     "flow_start",
     "signal_start",
     "signal_end",
@@ -143,18 +134,22 @@ pub const PROBE_SCOPES: [&str; 22] = [
 ];
 
 /// Phase-scope indices into [`PROBE_SCOPES`] (the kind scopes occupy
-/// `0..17`).
-const SCOPE_SCATTER: usize = 17;
-const SCOPE_ARRIVAL_SCAN: usize = 18;
-const SCOPE_BER_EVAL: usize = 19;
-const SCOPE_MAC_ACTIONS: usize = 20;
-const SCOPE_RESPONSE_BUILD: usize = 21;
+/// `0..EVENT_KINDS`).
+const SCOPE_SCATTER: usize = EVENT_KINDS;
+const SCOPE_ARRIVAL_SCAN: usize = EVENT_KINDS + 1;
+const SCOPE_BER_EVAL: usize = EVENT_KINDS + 2;
+const SCOPE_MAC_ACTIONS: usize = EVENT_KINDS + 3;
+const SCOPE_RESPONSE_BUILD: usize = EVENT_KINDS + 4;
+
+/// Kind index of the first MAC timer; the others follow in
+/// [`timer_slot`] order.
+const KIND_MAC_TIMER: usize = 4;
 
 /// Dense per-station timer-slot count: one slot per [`TimerKind`].
 const MAC_TIMER_SLOTS: usize = 8;
 
-/// The dense timer-table slot of a [`TimerKind`] (same order as the MAC
-/// kind scopes in [`PROBE_SCOPES`]).
+/// The dense timer-table slot of a [`TimerKind`]; offset by
+/// [`KIND_MAC_TIMER`], also the timer's kind index.
 fn timer_slot(kind: TimerKind) -> usize {
     match kind {
         TimerKind::Difs => 0,
@@ -221,21 +216,20 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     /// records the `phase_mac_actions` scope, so nested action cascades
     /// are not double-counted.
     mac_actions_depth: u32,
-    flows: Vec<FlowSpec>,
+    /// The flow table: one row per flow, indexed by [`FlowId`] (the
+    /// builder assigns ids densely from 0).
+    flows: Vec<Flow<S>>,
     /// Transmissions on the air, sorted by [`TxId`]. Ids are handed out
     /// monotonically by the medium, so insertion is a push-back and
     /// lookup a binary search over a handful of concurrent entries — no
     /// hashing on the signal-start/end hot path.
     in_flight: Vec<(TxId, InFlight)>,
     /// Dense per-station timer table: slot `node * MAC_TIMER_SLOTS +
-    /// timer_slot(kind)`. Replaces a `HashMap` keyed on `(node, kind)` —
-    /// MAC timers are armed/cancelled several times per frame exchange,
-    /// making this one of the hottest state tables in the world.
+    /// timer_slot(kind)`, indexed rather than hashed because MAC timers
+    /// are armed and cancelled several times per frame exchange, making
+    /// this one of the hottest state tables in the world.
     mac_timers: Vec<Option<EventHandle>>,
-    rto_timers: HashMap<(u32, u32), EventHandle>,
-    delack_timers: HashMap<(u32, u32), EventHandle>,
     next_tag: u64,
-    snapshot: HashMap<FlowId, u64>,
     routes: StaticRoutes,
     duration: SimDuration,
     warmup: SimDuration,
@@ -336,15 +330,27 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 master.substream(format!("mac/{i}").as_bytes()),
                 sink.clone(),
             );
-            nodes.push(Node::new(id, phy, dcf));
+            nodes.push(Node::new(phy, dcf));
         }
+        let flows: Vec<Flow<S>> = flows
+            .into_iter()
+            .map(|f| {
+                if let Traffic::SaturatedUdp { .. } = f.traffic {
+                    nodes[f.src.index()].saturated_flows.push(f.id);
+                }
+                Flow::new(f, &sink)
+            })
+            .collect();
         let mut sim = Simulator::new();
         // Pending events are bounded by a few timers per station plus a
         // few per transmission and flow; pre-size the queue so a late
         // population peak never reallocates mid-run.
         sim.reserve(16 * (nodes.len() + flows.len()).max(4));
         for f in &flows {
-            sim.schedule_at(SimTime::ZERO + f.start, Event::FlowStart { flow: f.id });
+            sim.schedule_at(
+                SimTime::ZERO + f.spec.start,
+                Event::FlowStart { flow: f.spec.id },
+            );
         }
         sim.schedule_at(SimTime::ZERO + warmup, Event::MeasureStart);
         // Mobile scenario: build the movement engine over its dedicated
@@ -356,7 +362,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             (engine, m.epoch, m.rebuild_epochs)
         });
         let n_stations = nodes.len();
-        let mut world = World {
+        World {
             sim,
             medium,
             nodes,
@@ -366,10 +372,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             flows,
             in_flight: Vec::new(),
             mac_timers: vec![None; n_stations * MAC_TIMER_SLOTS],
-            rto_timers: HashMap::new(),
-            delack_timers: HashMap::new(),
             next_tag: 1,
-            snapshot: HashMap::new(),
             routes,
             duration,
             warmup,
@@ -381,51 +384,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             mobility,
             mobility_stats: MobilityStats::default(),
             move_scratch: Vec::new(),
-        };
-        world.install_endpoints();
-        world
-    }
-
-    fn install_endpoints(&mut self) {
-        for f in self.flows.clone() {
-            match f.traffic {
-                Traffic::SaturatedUdp {
-                    payload_bytes,
-                    backlog,
-                } => {
-                    self.nodes[f.src.index()].saturated_sources.insert(
-                        f.id,
-                        SaturatedSource::new(f.id, f.src, f.dst, payload_bytes, backlog),
-                    );
-                    self.nodes[f.src.index()].saturated_flows.push(f.id);
-                    self.nodes[f.dst.index()]
-                        .udp_sinks
-                        .insert(f.id, UdpSink::default());
-                }
-                Traffic::CbrUdp {
-                    payload_bytes,
-                    interval,
-                    limit,
-                } => {
-                    self.nodes[f.src.index()].cbr_sources.insert(
-                        f.id,
-                        CbrSource::new(f.id, f.src, f.dst, payload_bytes, interval, limit),
-                    );
-                    self.nodes[f.dst.index()]
-                        .udp_sinks
-                        .insert(f.id, UdpSink::default());
-                }
-                Traffic::BulkTcp { mss } => {
-                    let cfg = TcpConfig::new(mss);
-                    self.nodes[f.src.index()].tcp_senders.insert(
-                        f.id,
-                        TcpSender::with_sink(f.id, f.src, f.dst, cfg, self.sink.clone()),
-                    );
-                    self.nodes[f.dst.index()]
-                        .tcp_receivers
-                        .insert(f.id, TcpReceiver::new(f.id, f.dst, f.src, cfg));
-                }
-            }
         }
     }
 
@@ -461,32 +419,23 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             }
             let tick = self.probe.tick();
             let (now, ev) = self.sim.pop().expect("peeked event");
-            let scope = Self::kind_scope(&ev);
+            let kind = Self::kind_scope(&ev);
+            self.kind_counts.counts[kind] += 1;
             self.handle(now, ev);
-            self.probe.record(scope, tick);
+            self.probe.record(kind, tick);
         }
     }
 
-    /// Maps an event to its profiler scope index — the same order as
-    /// [`EventKindCounts::iter_named`] and the head of [`PROBE_SCOPES`]
-    /// (cross-checked by the `probe_scope_counts_match_kind_histogram`
-    /// integration test).
+    /// Maps an event to its kind index: the slot it counts in
+    /// [`EventKindCounts`] and the profiler scope it is timed under (the
+    /// head of [`PROBE_SCOPES`]).
     fn kind_scope(ev: &Event) -> usize {
         match ev {
             Event::FlowStart { .. } => 0,
             Event::SignalStart { .. } => 1,
             Event::SignalEnd { .. } => 2,
             Event::TxAirEnd { .. } => 3,
-            Event::MacTimer { kind, .. } => match kind {
-                TimerKind::Difs => 4,
-                TimerKind::BackoffBulk => 5,
-                TimerKind::BackoffSlot => 6,
-                TimerKind::CtsTimeout => 7,
-                TimerKind::AckTimeout => 8,
-                TimerKind::SifsResponse => 9,
-                TimerKind::SifsData => 10,
-                TimerKind::NavEnd => 11,
-            },
+            Event::MacTimer { kind, .. } => KIND_MAC_TIMER + timer_slot(*kind),
             Event::RtoTimer { .. } => 12,
             Event::DelackTimer { .. } => 13,
             Event::CbrTick { .. } => 14,
@@ -495,39 +444,12 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         }
     }
 
-    /// Tallies one dispatched event into the per-kind histogram.
-    fn count_kind(&mut self, ev: &Event) {
-        let k = &mut self.kind_counts;
-        match ev {
-            Event::FlowStart { .. } => k.flow_start += 1,
-            Event::SignalStart { .. } => k.signal_start += 1,
-            Event::SignalEnd { .. } => k.signal_end += 1,
-            Event::TxAirEnd { .. } => k.tx_air_end += 1,
-            Event::MacTimer { kind, .. } => match kind {
-                TimerKind::Difs => k.mac_difs += 1,
-                TimerKind::BackoffBulk => k.mac_backoff_bulk += 1,
-                TimerKind::BackoffSlot => k.mac_backoff_slot += 1,
-                TimerKind::CtsTimeout => k.mac_cts_timeout += 1,
-                TimerKind::AckTimeout => k.mac_ack_timeout += 1,
-                TimerKind::SifsResponse => k.mac_sifs_response += 1,
-                TimerKind::SifsData => k.mac_sifs_data += 1,
-                TimerKind::NavEnd => k.mac_nav_end += 1,
-            },
-            Event::RtoTimer { .. } => k.rto_timer += 1,
-            Event::DelackTimer { .. } => k.delack_timer += 1,
-            Event::CbrTick { .. } => k.cbr_tick += 1,
-            Event::MeasureStart => k.measure_start += 1,
-            Event::TopologyUpdate => k.topology_update += 1,
-        }
-    }
-
     fn handle(&mut self, now: SimTime, ev: Event) {
-        self.count_kind(&ev);
         match ev {
             Event::FlowStart { flow } => self.start_flow(flow, now),
             Event::SignalStart { tx_id } => self.on_signal_start(tx_id, now),
             Event::SignalEnd { tx_id } => self.on_signal_end(tx_id, now),
-            Event::TxAirEnd { node, tx_id } => self.on_tx_air_end(node, tx_id, now),
+            Event::TxAirEnd { node } => self.on_tx_air_end(node, now),
             Event::MacTimer { node, kind } => {
                 self.mac_timers[node.index() * MAC_TIMER_SLOTS + timer_slot(kind)] = None;
                 let mut actions = self.mac_action_pool.get();
@@ -547,27 +469,30 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 }
                 self.apply_mac_actions(node.index(), actions, now);
             }
-            Event::RtoTimer { node, flow } => {
-                self.rto_timers.remove(&(node.0, flow.0));
+            Event::RtoTimer { flow } => {
+                let row = &mut self.flows[flow.0 as usize];
+                row.rto = None;
+                let src = row.spec.src.index();
                 let mut outs = self.tcp_out_pool.get();
-                if let Some(s) = self.nodes[node.index()].tcp_senders.get_mut(&flow) {
-                    s.on_rto(now, &mut outs);
+                if let Endpoints::Tcp { sender, .. } = &mut row.endpoints {
+                    sender.on_rto(now, &mut outs);
                 }
-                self.apply_tcp_outputs(node.index(), flow, outs, now);
+                self.apply_tcp_outputs(src, flow, outs, now);
             }
-            Event::DelackTimer { node, flow } => {
-                self.delack_timers.remove(&(node.0, flow.0));
+            Event::DelackTimer { flow } => {
+                let row = &mut self.flows[flow.0 as usize];
+                row.delack = None;
+                let dst = row.spec.dst.index();
                 let mut outs = self.tcp_out_pool.get();
-                if let Some(r) = self.nodes[node.index()].tcp_receivers.get_mut(&flow) {
-                    r.on_delack_timer(now, &mut outs);
+                if let Endpoints::Tcp { receiver, .. } = &mut row.endpoints {
+                    receiver.on_delack_timer(now, &mut outs);
                 }
-                self.apply_tcp_outputs(node.index(), flow, outs, now);
+                self.apply_tcp_outputs(dst, flow, outs, now);
             }
-            Event::CbrTick { node, flow } => self.on_cbr_tick(node, flow, now),
+            Event::CbrTick { flow } => self.on_cbr_tick(flow, now),
             Event::MeasureStart => {
-                for f in &self.flows {
-                    let bytes = self.delivered_bytes(f);
-                    self.snapshot.insert(f.id, bytes);
+                for row in &mut self.flows {
+                    row.snapshot = row.delivered_bytes();
                 }
             }
             Event::TopologyUpdate => self.on_topology_update(now),
@@ -607,36 +532,30 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     // --- traffic ---------------------------------------------------------
 
     fn start_flow(&mut self, flow: FlowId, now: SimTime) {
-        let spec = *self
-            .flows
-            .iter()
-            .find(|f| f.id == flow)
-            .expect("known flow");
-        match spec.traffic {
-            Traffic::SaturatedUdp { .. } => self.refill_saturated(spec.src.index(), now),
-            Traffic::CbrUdp { .. } => self.on_cbr_tick(spec.src, flow, now),
-            Traffic::BulkTcp { .. } => {
+        let row = &mut self.flows[flow.0 as usize];
+        let src = row.spec.src.index();
+        match &mut row.endpoints {
+            Endpoints::Saturated { .. } => self.refill_saturated(src, now),
+            Endpoints::Cbr { .. } => self.on_cbr_tick(flow, now),
+            Endpoints::Tcp { sender, .. } => {
                 let mut outs = self.tcp_out_pool.get();
-                self.nodes[spec.src.index()]
-                    .tcp_senders
-                    .get_mut(&flow)
-                    .expect("sender installed")
-                    .start(now, &mut outs);
-                self.apply_tcp_outputs(spec.src.index(), flow, outs, now);
+                sender.start(now, &mut outs);
+                self.apply_tcp_outputs(src, flow, outs, now);
             }
         }
     }
 
-    fn on_cbr_tick(&mut self, node: NodeId, flow: FlowId, now: SimTime) {
-        let idx = node.index();
-        let Some(src) = self.nodes[idx].cbr_sources.get_mut(&flow) else {
+    fn on_cbr_tick(&mut self, flow: FlowId, now: SimTime) {
+        let row = &mut self.flows[flow.0 as usize];
+        let Endpoints::Cbr { source, .. } = &mut row.endpoints else {
             return;
         };
-        if let Some((packet, next)) = src.tick(now) {
+        if let Some((packet, next)) = source.tick(now) {
+            let src = row.spec.src.index();
             if let Some(next) = next {
-                self.sim.schedule_at(next, Event::CbrTick { node, flow });
+                self.sim.schedule_at(next, Event::CbrTick { flow });
             }
-            self.enqueue_packet(idx, packet, now);
+            self.enqueue_packet(src, packet, now);
         }
     }
 
@@ -649,15 +568,22 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             // queue capacity — drops would be "re-filled" forever.)
             let queued = self.nodes[idx].mac.queue_len();
             let mut packets = std::mem::take(&mut self.packet_scratch);
-            self.nodes[idx]
-                .saturated_sources
-                .get_mut(&flow)
-                .expect("source present")
-                .refill(queued, now, &mut packets);
+            let Endpoints::Saturated { source, .. } = &mut self.flows[flow.0 as usize].endpoints
+            else {
+                unreachable!("saturated_flows lists saturated rows only");
+            };
+            source.refill(queued, now, &mut packets);
             for p in packets.drain(..) {
                 self.enqueue_packet(idx, p, now);
             }
             self.packet_scratch = packets;
+        }
+        // Every source measures its backlog against the one shared queue,
+        // so whoever tops up first takes the free slots: rotate the order
+        // so flows sharing a source take turns.
+        let flows = &mut self.nodes[idx].saturated_flows;
+        if flows.len() > 1 {
+            flows.rotate_left(1);
         }
     }
 
@@ -666,7 +592,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     fn enqueue_packet(&mut self, idx: usize, packet: Packet, now: SimTime) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        let at = self.nodes[idx].id;
+        let at = NodeId(idx as u32);
         // Multi-hop: the MAC-level receiver is the configured next hop
         // toward the packet's final destination (or the destination
         // itself when no route is installed).
@@ -683,14 +609,16 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     }
 
     fn deliver_packet(&mut self, idx: usize, packet: Packet, now: SimTime) {
-        if packet.dst != self.nodes[idx].id {
+        if packet.dst.index() != idx {
             // We are an intermediate hop: forward toward the destination.
             self.enqueue_packet(idx, packet, now);
             return;
         }
         match packet.seg {
             Segment::Udp { seq } => {
-                if let Some(sink) = self.nodes[idx].udp_sinks.get_mut(&packet.flow) {
+                if let Endpoints::Saturated { sink, .. } | Endpoints::Cbr { sink, .. } =
+                    &mut self.flows[packet.flow.0 as usize].endpoints
+                {
                     sink.datagrams += 1;
                     sink.payload_bytes += packet.payload_bytes as u64;
                     sink.max_seq = sink.max_seq.max(seq);
@@ -712,14 +640,19 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             Segment::Tcp { seq, ack } => {
                 let flow = packet.flow;
                 let mut outs = self.tcp_out_pool.get();
-                if packet.payload_bytes > 0 {
-                    if let Some(r) = self.nodes[idx].tcp_receivers.get_mut(&flow) {
-                        let before = r.delivered_bytes();
-                        r.on_segment(seq, packet.payload_bytes, now, &mut outs);
+                if let Endpoints::Tcp {
+                    sender, receiver, ..
+                } = &mut self.flows[flow.0 as usize].endpoints
+                {
+                    // Data segments travel to the receiver, pure ACKs
+                    // back to the sender.
+                    if packet.payload_bytes > 0 {
+                        let before = receiver.delivered_bytes();
+                        receiver.on_segment(seq, packet.payload_bytes, now, &mut outs);
                         // In-order delivery progress, not raw segment
                         // arrival: out-of-order segments count only once
                         // the hole closes.
-                        let delta = r.delivered_bytes() - before;
+                        let delta = receiver.delivered_bytes() - before;
                         if S::ENABLED && delta > 0 {
                             self.sink.record(
                                 now,
@@ -730,9 +663,9 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                                 },
                             );
                         }
+                    } else {
+                        sender.on_ack(ack, now, &mut outs);
                     }
-                } else if let Some(s) = self.nodes[idx].tcp_senders.get_mut(&flow) {
-                    s.on_ack(ack, now, &mut outs);
                 }
                 self.apply_tcp_outputs(idx, flow, outs, now);
             }
@@ -746,37 +679,28 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         mut outs: Vec<TcpOutput>,
         now: SimTime,
     ) {
+        let f = flow.0 as usize;
         for out in outs.drain(..) {
-            match out {
-                TcpOutput::Send(packet) => self.enqueue_packet(idx, packet, now),
-                TcpOutput::ArmRto(delay) => {
-                    let node = self.nodes[idx].id;
-                    let h = self.sim.schedule_in(delay, Event::RtoTimer { node, flow });
-                    if let Some(old) = self.rto_timers.insert((node.0, flow.0), h) {
-                        self.sim.cancel(old);
-                    }
+            let (slot, armed) = match out {
+                TcpOutput::Send(packet) => {
+                    self.enqueue_packet(idx, packet, now);
+                    continue;
                 }
-                TcpOutput::CancelRto => {
-                    let node = self.nodes[idx].id;
-                    if let Some(h) = self.rto_timers.remove(&(node.0, flow.0)) {
-                        self.sim.cancel(h);
-                    }
-                }
-                TcpOutput::ArmDelack(delay) => {
-                    let node = self.nodes[idx].id;
-                    let h = self
-                        .sim
-                        .schedule_in(delay, Event::DelackTimer { node, flow });
-                    if let Some(old) = self.delack_timers.insert((node.0, flow.0), h) {
-                        self.sim.cancel(old);
-                    }
-                }
-                TcpOutput::CancelDelack => {
-                    let node = self.nodes[idx].id;
-                    if let Some(h) = self.delack_timers.remove(&(node.0, flow.0)) {
-                        self.sim.cancel(h);
-                    }
-                }
+                TcpOutput::ArmRto(delay) => (
+                    &mut self.flows[f].rto,
+                    Some(self.sim.schedule_in(delay, Event::RtoTimer { flow })),
+                ),
+                TcpOutput::CancelRto => (&mut self.flows[f].rto, None),
+                TcpOutput::ArmDelack(delay) => (
+                    &mut self.flows[f].delack,
+                    Some(self.sim.schedule_in(delay, Event::DelackTimer { flow })),
+                ),
+                TcpOutput::CancelDelack => (&mut self.flows[f].delack, None),
+            };
+            // Arming replaces (and cancelling clears) the flow's pending
+            // timer of that kind.
+            if let Some(old) = std::mem::replace(slot, armed) {
+                self.sim.cancel(old);
             }
         }
         self.tcp_out_pool.put(outs);
@@ -794,8 +718,10 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                     self.start_transmission(idx, frame, rate, now)
                 }
                 MacAction::StartTimer { kind, delay } => {
-                    let node = self.nodes[idx].id;
-                    let ev = Event::MacTimer { node, kind };
+                    let ev = Event::MacTimer {
+                        node: NodeId(idx as u32),
+                        kind,
+                    };
                     // The bulk-backoff timer stands in for the *last* tick
                     // of a per-slot chain, which would have been the oldest
                     // pending event at its instant — so it goes in the
@@ -835,7 +761,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         rate: dot11_phy::PhyRate,
         now: SimTime,
     ) {
-        let source = self.nodes[idx].id;
+        let source = NodeId(idx as u32);
         let radio = *self.nodes[idx].phy.config();
         // Scatter into a pooled buffer; it rides inside the `InFlight`
         // entry until the transmission's SignalEnd returns it.
@@ -867,13 +793,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         }
         self.nodes[idx].phy.begin_tx(until, now);
         self.sync_cs(idx, now);
-        self.sim.schedule_at(
-            until,
-            Event::TxAirEnd {
-                node: source,
-                tx_id,
-            },
-        );
+        self.sim
+            .schedule_at(until, Event::TxAirEnd { node: source });
         if deliveries.is_empty() {
             // Nobody in range: no signal events, no in-flight entry.
             self.delivery_pool.put(deliveries);
@@ -986,8 +907,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         self.sync_cs(idx, now);
     }
 
-    fn on_tx_air_end(&mut self, node: NodeId, tx_id: TxId, now: SimTime) {
-        let _ = tx_id;
+    fn on_tx_air_end(&mut self, node: NodeId, now: SimTime) {
         let idx = node.index();
         if S::ENABLED {
             self.sink
@@ -1017,21 +937,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
 
     // --- reporting -------------------------------------------------------------
 
-    fn delivered_bytes(&self, spec: &FlowSpec) -> u64 {
-        match spec.traffic {
-            Traffic::SaturatedUdp { .. } | Traffic::CbrUdp { .. } => self.nodes[spec.dst.index()]
-                .udp_sinks
-                .get(&spec.id)
-                .map(|s| s.payload_bytes)
-                .unwrap_or(0),
-            Traffic::BulkTcp { .. } => self.nodes[spec.dst.index()]
-                .tcp_receivers
-                .get(&spec.id)
-                .map(|r| r.delivered_bytes())
-                .unwrap_or(0),
-        }
-    }
-
     fn report(&mut self, wall: std::time::Duration) -> RunReport {
         // Fold the tail span into each station's airtime ledgers (the
         // PHY's radio-state split and the MAC's defer refinement).
@@ -1041,71 +946,12 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             n.mac.account_airtime(end);
         }
         let window = (self.duration - self.warmup).as_secs_f64();
-        let flows = self
-            .flows
-            .iter()
-            .map(|f| {
-                let delivered_bytes = self.delivered_bytes(f);
-                let measured =
-                    delivered_bytes.saturating_sub(*self.snapshot.get(&f.id).unwrap_or(&0));
-                let (mean_delay_ms, max_delay_ms) = self.nodes[f.dst.index()]
-                    .udp_sinks
-                    .get(&f.id)
-                    .map(|s| (s.mean_delay_ms(), s.delay_max_ns as f64 / 1e6))
-                    .unwrap_or((0.0, 0.0));
-                let (offered, delivered_packets, loss) = match f.traffic {
-                    Traffic::SaturatedUdp { .. } | Traffic::CbrUdp { .. } => {
-                        let offered = self.nodes[f.src.index()]
-                            .saturated_sources
-                            .get(&f.id)
-                            .map(|s| s.emitted())
-                            .or_else(|| {
-                                self.nodes[f.src.index()]
-                                    .cbr_sources
-                                    .get(&f.id)
-                                    .map(|s| s.emitted())
-                            })
-                            .unwrap_or(0);
-                        let got = self.nodes[f.dst.index()]
-                            .udp_sinks
-                            .get(&f.id)
-                            .map(|s| s.datagrams)
-                            .unwrap_or(0);
-                        let loss = if offered > 0 {
-                            1.0 - got as f64 / offered as f64
-                        } else {
-                            0.0
-                        };
-                        (offered, got, loss)
-                    }
-                    Traffic::BulkTcp { mss } => {
-                        let offered = self.nodes[f.src.index()]
-                            .tcp_senders
-                            .get(&f.id)
-                            .map(|s| s.stats().segments_sent)
-                            .unwrap_or(0);
-                        (offered, delivered_bytes / mss as u64, 0.0)
-                    }
-                };
-                FlowReport {
-                    flow: f.id,
-                    src: f.src,
-                    dst: f.dst,
-                    offered_packets: offered,
-                    delivered_bytes,
-                    delivered_packets,
-                    measured_bytes: measured,
-                    throughput_kbps: measured as f64 * 8.0 / window / 1000.0,
-                    loss_rate: loss.clamp(0.0, 1.0),
-                    mean_delay_ms,
-                    max_delay_ms,
-                }
-            })
-            .collect();
+        let flows = self.flows.iter().map(|f| f.report(window)).collect();
         let nodes = self
             .nodes
             .iter()
-            .map(|n| {
+            .enumerate()
+            .map(|(i, n)| {
                 // Merge the MAC's defer ledger into the PHY's airtime
                 // split: the five refinement categories partition the
                 // PHY's idle share (bit-exactly — asserted by the
@@ -1119,7 +965,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 airtime.frozen_ns = ledger.frozen_ns;
                 airtime.quiet_ns = ledger.quiet_ns;
                 NodeReport {
-                    node: n.id,
+                    node: NodeId(i as u32),
                     mac: n.mac.counters(),
                     phy: n.phy.counters(),
                     arf: n.mac.arf_counters(),

@@ -110,7 +110,10 @@ fn waypoint_disk_incremental_matches_rebuild() {
         mobility,
     );
     assert_eq!(report.engine.mobility.epochs, 10);
-    assert_eq!(report.engine.kinds.topology_update, 10);
+    assert_eq!(
+        report.engine.kinds.iter_named()[16],
+        ("topology_update", 10)
+    );
     assert!(report.engine.mobility.stations_moved >= 10 * 24);
 }
 
@@ -231,5 +234,5 @@ fn static_scenarios_report_zero_mobility() {
         .flow(0, 1, SATURATED)
         .run();
     assert_eq!(report.engine.mobility, MobilityStats::default());
-    assert_eq!(report.engine.kinds.topology_update, 0);
+    assert_eq!(report.engine.kinds.iter_named()[16], ("topology_update", 0));
 }

@@ -202,3 +202,50 @@ fn saturation_inflates_delay() {
         p.mean_delay_ms
     );
 }
+
+/// The flow table keys endpoints by flow, not by station: station 0
+/// sources two saturated UDP flows while terminating a TCP flow from
+/// station 2, and every flow is refilled, delivered and reported
+/// consistently.
+#[test]
+fn one_station_sources_two_flows_and_sinks_tcp() {
+    let backlog = 10;
+    let sat = Traffic::SaturatedUdp {
+        payload_bytes: 512,
+        backlog,
+    };
+    let mss = 512;
+    let report = ScenarioBuilder::new(PhyRate::R11)
+        .line(&[0.0, 10.0, 20.0])
+        .day(DayProfile::still())
+        .seed(4)
+        .duration(SimDuration::from_secs(3))
+        .warmup(SimDuration::from_millis(500))
+        .flow(0, 1, sat)
+        .flow(0, 2, sat)
+        .flow(2, 0, Traffic::BulkTcp { mss })
+        .run();
+    for f in &report.flows {
+        assert!(f.delivered_packets > 0, "{} delivered nothing", f.flow);
+    }
+    let udp = &report.flows[..2];
+    for f in udp {
+        // More than the initial fill: the shared source kept refilling
+        // both flows, not just the one installed first.
+        assert!(
+            f.offered_packets > backlog as u64,
+            "{} was never refilled: offered {}",
+            f.flow,
+            f.offered_packets
+        );
+        let loss = 1.0 - f.delivered_packets as f64 / f.offered_packets as f64;
+        assert_eq!(f.loss_rate, loss, "{} loss", f.flow);
+    }
+    let (a, b) = (udp[0].delivered_packets, udp[1].delivered_packets);
+    assert!(
+        a.min(b) * 2 > a.max(b),
+        "flows sharing a source should share its queue: {a} vs {b}"
+    );
+    let tcp = report.flow(FlowId(2));
+    assert_eq!(tcp.delivered_packets, tcp.delivered_bytes / mss as u64);
+}
