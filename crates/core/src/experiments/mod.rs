@@ -2,7 +2,8 @@
 //!
 //! Every experiment function returns structured rows; the `repro` binary
 //! renders them as text, the integration tests assert their shape against
-//! the paper, and the benches in `dot11-bench` time their regeneration.
+//! the paper, and the `paper4` workload of `perfbench/` times the
+//! four-station cells.
 //!
 //! | paper artifact | function |
 //! |---|---|

@@ -355,9 +355,9 @@ impl ScenarioBuilder {
     }
 
     /// Disables audible-set culling: every frame is delivered to all
-    /// other stations regardless of received power, as before PR 5. Used
-    /// by the A/B equivalence tests and the scaling benchmark's
-    /// full-fanout baseline.
+    /// other stations regardless of received power. Used by the A/B
+    /// equivalence tests and as the full-fanout row of the pinned
+    /// fan-out table in `tests/culling.rs`.
     pub fn full_fanout(mut self) -> ScenarioBuilder {
         self.scenario.full_fanout = true;
         self

@@ -2,10 +2,10 @@
 //!
 //! `Medium` is pure computation — the event loop lives in the simulation
 //! driver. When a station starts transmitting, the driver calls
-//! [`Medium::transmit`], which samples the per-receiver powers **once**
-//! (path loss + that instant's shadowing) and returns them; the driver
-//! then schedules signal-start/end events at each receiver after the
-//! propagation delay.
+//! [`Medium::transmit_into`], which samples the per-receiver powers
+//! **once** (path loss + that instant's shadowing) into the caller's
+//! buffer; the driver then schedules signal-start/end events at each
+//! receiver after the propagation delay.
 
 use desim::{SimDuration, SimTime};
 
@@ -125,10 +125,10 @@ struct LinkRecord {
 /// hashing and, once the slice is built, no allocation.
 ///
 /// Slices are built **lazily**: a station's slice is computed the first
-/// time it transmits or [`Medium::rx_power`] samples one of its links,
-/// from the one bucket grid the medium keeps over the current positions
-/// for its whole life. Construction therefore costs O(N) — the grid —
-/// and a run pays only for the slices of the stations that transmit.
+/// time it transmits, from the one bucket grid the medium keeps over the
+/// current positions for its whole life. Construction therefore costs
+/// O(N) — the grid — and a run pays only for the slices of the stations
+/// that transmit.
 /// Build order cannot show in the results: a slice's contents are a pure
 /// function of the positions, and a link's shadowing draws come from its
 /// own `"shadow/"+tx+rx` substream, started on its first sample.
@@ -592,36 +592,6 @@ impl Medium {
         n * n.saturating_sub(1) - kept
     }
 
-    /// Samples the received power on the directed link `tx → rx` at `now`
-    /// given the transmitter's TX power: (cached) path loss plus the
-    /// current shadowing state of that link. Builds `tx`'s audible slice
-    /// if it is not built yet.
-    ///
-    /// A link's shadowing state is sequential, so an audible pair must
-    /// always advance its slice record's state here — the same one
-    /// [`Medium::transmit_into`] advances — never a parallel HashMap
-    /// entry; splitting a link across the two would fork its random
-    /// trajectory.
-    pub fn rx_power(&mut self, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
-        self.ensure_slice(tx);
-        let slice = self.slices[tx.index()].as_mut().expect("built above");
-        match slice.binary_search_by_key(&rx.0, |r| r.rx.0) {
-            Ok(i) => {
-                let r = &mut slice[i];
-                let excess = self
-                    .shadowing
-                    .sample_link(&mut r.shadow, tx, rx, r.distance, now);
-                tx_power - r.loss - excess
-            }
-            Err(_) => {
-                let d = self.distance(tx, rx);
-                let pl = self.config.path_loss.path_loss(d);
-                let excess = self.shadowing.sample(tx, rx, d, now);
-                tx_power - pl - excess
-            }
-        }
-    }
-
     /// Launches a transmission at `now` from `source`, appending the
     /// signal as it will appear at every station in `source`'s audible
     /// set (in station order) to `deliveries`, powers sampled at launch
@@ -664,8 +634,7 @@ impl Medium {
         self.ensure_slice(source);
         // One pass over the contiguous slice: cached loss, shadowing
         // advance and power subtraction per receiver, no per-receiver
-        // search or hashing. The arithmetic and draw order match
-        // `rx_power` on an audible pair exactly.
+        // search or hashing.
         for r in self.slices[source.index()].as_mut().expect("built above") {
             let excess = self
                 .shadowing
@@ -724,7 +693,6 @@ impl Medium {
         if plan.movers.is_empty() {
             return churn;
         }
-        self.shadowing.retain_unmoved_links(&plan.moved);
         let dirty = self.geometric_churn(&plan, &mut churn);
         for &(id, _) in &plan.movers {
             self.slices[id as usize] = None;
@@ -806,7 +774,8 @@ impl Medium {
     /// trajectory: the state is the same bits in a different record).
     ///
     /// O(N + kept links) per epoch; exists for the identity proof and as
-    /// the bench baseline the ≥10× gate is measured against.
+    /// the baseline of the ≥ 10× floor in `tests/mobility.rs`
+    /// (`incremental_epoch_is_ten_times_cheaper_than_rebuild_at_1024`).
     pub fn commit_epoch_rebuild(&mut self, moves: &[(NodeId, Position)]) -> EpochChurn {
         let old_positions = self.positions.clone();
         let plan = self.apply_moves(moves);
@@ -842,7 +811,6 @@ impl Medium {
         }
         // Full rebuild at the new positions, from the same (already
         // salted) master stream, then the surviving state transplanted.
-        self.shadowing.retain_unmoved_links(&plan.moved);
         let mut fresh = Medium::new(
             self.positions.clone(),
             self.shadowing.fresh_like(),
@@ -855,7 +823,6 @@ impl Medium {
                 fresh.build_slice(tx, carried.collect());
             }
         }
-        fresh.shadowing.adopt_links_from(&mut self.shadowing);
         *self = fresh;
         churn
     }
@@ -885,32 +852,6 @@ impl Medium {
             moved,
             movers,
         }
-    }
-
-    /// Allocating convenience form of [`Medium::transmit_into`] for tests
-    /// and one-shot callers; the event loop uses the scratch-buffer form.
-    /// Delegates through the same audible-slice path so the two forms
-    /// cannot drift.
-    pub fn transmit(
-        &mut self,
-        source: NodeId,
-        tx_power: Dbm,
-        rate: PhyRate,
-        mpdu_bytes: u32,
-        preamble: Preamble,
-        now: SimTime,
-    ) -> (TxId, FrameAirtime, Vec<(NodeId, TxSignal)>) {
-        let mut deliveries = Vec::new();
-        let (tx_id, airtime) = self.transmit_into(
-            source,
-            tx_power,
-            rate,
-            mpdu_bytes,
-            preamble,
-            now,
-            &mut deliveries,
-        );
-        (tx_id, airtime, deliveries)
     }
 }
 
@@ -946,6 +887,27 @@ mod tests {
             .collect()
     }
 
+    /// One frame from `src` at `now` (2 Mb/s, 64 bytes): its deliveries,
+    /// in station order.
+    fn scatter(
+        m: &mut Medium,
+        src: NodeId,
+        tx_power: Dbm,
+        now: SimTime,
+    ) -> Vec<(NodeId, TxSignal)> {
+        let mut deliveries = Vec::new();
+        m.transmit_into(
+            src,
+            tx_power,
+            PhyRate::R2,
+            64,
+            Preamble::Long,
+            now,
+            &mut deliveries,
+        );
+        deliveries
+    }
+
     /// The stations whose audible slice is built.
     fn built(m: &Medium) -> Vec<usize> {
         (0..m.station_count())
@@ -976,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn rx_power_decreases_with_distance() {
+    fn received_power_decreases_with_distance() {
         let mut m = medium(
             vec![
                 Position::on_line(0.0),
@@ -985,9 +947,9 @@ mod tests {
             ],
             true,
         );
-        let now = SimTime::ZERO;
-        let near = m.rx_power(NodeId(0), NodeId(1), Dbm(15.0), now);
-        let far = m.rx_power(NodeId(0), NodeId(2), Dbm(15.0), now);
+        let deliveries = scatter(&mut m, NodeId(0), Dbm(15.0), SimTime::ZERO);
+        let (near, far) = (deliveries[0].1.rx_power, deliveries[1].1.rx_power);
+        assert_eq!((deliveries[0].0, deliveries[1].0), (NodeId(1), NodeId(2)));
         assert!(near.0 > far.0 + 25.0, "near {near} vs far {far}");
     }
 
@@ -1002,13 +964,15 @@ mod tests {
             true,
         );
         let now = SimTime::from_millis(1);
-        let (tx_id, airtime, deliveries) = m.transmit(
+        let mut deliveries = Vec::new();
+        let (tx_id, airtime) = m.transmit_into(
             NodeId(1),
             Dbm(15.0),
             PhyRate::R2,
             112 / 8,
             Preamble::Long,
             now,
+            &mut deliveries,
         );
         assert_eq!(deliveries.len(), 2);
         assert!(deliveries.iter().all(|(rx, _)| *rx != NodeId(1)));
@@ -1018,15 +982,22 @@ mod tests {
             assert_eq!(sig.ends_at - sig.starts_at, airtime.total());
         }
         // Consecutive transmissions get distinct ids.
-        let (tx_id2, ..) = m.transmit(NodeId(0), Dbm(15.0), PhyRate::R1, 20, Preamble::Long, now);
+        deliveries.clear();
+        let (tx_id2, _) = m.transmit_into(
+            NodeId(0),
+            Dbm(15.0),
+            PhyRate::R1,
+            20,
+            Preamble::Long,
+            now,
+            &mut deliveries,
+        );
         assert_ne!(tx_id, tx_id2);
     }
 
     /// The link cache is an optimization, not a behaviour change: the
     /// cached (distance, loss) must be bit-identical to recomputing from
-    /// positions, and a scratch-buffer transmit must equal the allocating
-    /// form — including the shadowing draws, which depend only on call
-    /// order.
+    /// positions.
     #[test]
     fn link_cache_matches_naive_recomputation_bitwise() {
         let positions = vec![
@@ -1053,37 +1024,6 @@ mod tests {
                     "{tx}->{:?} loss",
                     r.rx
                 );
-            }
-        }
-        // Two identically seeded media: transmit vs transmit_into agree
-        // bit-for-bit. The caller owns clearing now, mirroring World's
-        // pooled-buffer discipline.
-        let mut a = medium(positions.clone(), false);
-        let mut b = medium(positions, false);
-        let mut scratch = Vec::new();
-        for frame in 0..8u64 {
-            let now = SimTime::from_micros(frame * 300);
-            let src = NodeId((frame % 4) as u32);
-            let (id_a, air_a, dels_a) =
-                a.transmit(src, Dbm(15.0), PhyRate::R11, 534, Preamble::Long, now);
-            scratch.clear();
-            let (id_b, air_b) = b.transmit_into(
-                src,
-                Dbm(15.0),
-                PhyRate::R11,
-                534,
-                Preamble::Long,
-                now,
-                &mut scratch,
-            );
-            assert_eq!(id_a, id_b);
-            assert_eq!(air_a.total(), air_b.total());
-            assert_eq!(dels_a.len(), scratch.len());
-            for ((rx_a, sig_a), (rx_b, sig_b)) in dels_a.iter().zip(&scratch) {
-                assert_eq!(rx_a, rx_b);
-                assert_eq!(sig_a.rx_power.0.to_bits(), sig_b.rx_power.0.to_bits());
-                assert_eq!(sig_a.starts_at, sig_b.starts_at);
-                assert_eq!(sig_a.ends_at, sig_b.ends_at);
             }
         }
     }
@@ -1152,26 +1092,11 @@ mod tests {
         ];
         let mut m = audible_medium(positions, CULL_MARGIN_DB);
         let now = SimTime::from_millis(1);
-        let (_, _, deliveries) = m.transmit(
-            NodeId(0),
-            Dbm(15.0),
-            PhyRate::R2,
-            112 / 8,
-            Preamble::Long,
-            now,
-        );
+        let deliveries = scatter(&mut m, NodeId(0), Dbm(15.0), now);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].0, NodeId(1));
         // An isolated transmitter delivers to nobody.
-        let (_, _, empty) = m.transmit(
-            NodeId(2),
-            Dbm(15.0),
-            PhyRate::R2,
-            112 / 8,
-            Preamble::Long,
-            now,
-        );
-        assert!(empty.is_empty());
+        assert!(scatter(&mut m, NodeId(2), Dbm(15.0), now).is_empty());
     }
 
     /// Culling must never perturb the powers of the links it keeps: the
@@ -1209,10 +1134,8 @@ mod tests {
         for frame in 0..6u64 {
             let now = SimTime::from_micros(frame * 500);
             let src = NodeId((frame % 3) as u32);
-            let (_, _, dels_full) =
-                full.transmit(src, Dbm(15.0), PhyRate::R11, 534, Preamble::Long, now);
-            let (_, _, dels_culled) =
-                culled.transmit(src, Dbm(15.0), PhyRate::R11, 534, Preamble::Long, now);
+            let dels_full = scatter(&mut full, src, Dbm(15.0), now);
+            let dels_culled = scatter(&mut culled, src, Dbm(15.0), now);
             for (rx, sig) in &dels_culled {
                 let (_, sig_full) = dels_full
                     .iter()
@@ -1401,18 +1324,18 @@ mod tests {
         assert!(built(&m).is_empty());
         let now = SimTime::from_millis(1);
         for src in [3, 10, 12, 20, 3, 30, 10] {
-            m.transmit(NodeId(src), Dbm(15.0), PhyRate::R2, 64, Preamble::Long, now);
+            scatter(&mut m, NodeId(src), Dbm(15.0), now);
         }
         assert_eq!(
             built(&m),
             [3, 10, 12, 20, 30],
             "one slice per distinct source"
         );
-        // Sampling a link of a built slice builds nothing new; one of an
+        // A repeat transmission builds nothing new; a first one from an
         // unbuilt transmitter builds its slice.
-        m.rx_power(NodeId(3), NodeId(4), Dbm(15.0), now);
+        scatter(&mut m, NodeId(3), Dbm(15.0), now);
         assert_eq!(built(&m).len(), 5);
-        m.rx_power(NodeId(25), NodeId(26), Dbm(15.0), now);
+        scatter(&mut m, NodeId(25), Dbm(15.0), now);
         assert_eq!(built(&m), [3, 10, 12, 20, 25, 30]);
 
         let blocks = |m: &Medium| -> Vec<Option<*const LinkRecord>> {
@@ -1570,11 +1493,9 @@ mod tests {
                     for f in 0..4u64 {
                         let now = SimTime::from_micros((epoch as u64 * 4 + f) * 700 + 1);
                         let src = NodeId(((epoch as u64 * 7 + f * 13) % n as u64) as u32);
-                        let (ia, _, da) =
-                            inc.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        let (ib, _, db) =
-                            reb.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        assert_eq!(ia, ib);
+                        let da = scatter(&mut inc, src, tx_power, now);
+                        let db = scatter(&mut reb, src, tx_power, now);
+                        assert_eq!(inc.next_tx, reb.next_tx);
                         assert_eq!(da.len(), db.len(), "{cull:?} epoch {epoch} frame {f}");
                         for ((rxa, sa), (rxb, sb)) in da.iter().zip(&db) {
                             assert_eq!(rxa, rxb);
@@ -1621,14 +1542,17 @@ mod tests {
 
     #[test]
     fn shadowed_link_varies_but_still_link_does_not() {
+        let power_at = |m: &mut Medium, secs: u64| {
+            scatter(m, NodeId(0), Dbm(15.0), SimTime::from_secs(secs))[0]
+                .1
+                .rx_power
+        };
         let mut still = medium(vec![Position::on_line(0.0), Position::on_line(50.0)], true);
-        let a = still.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(1));
-        let b = still.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(30));
+        let (a, b) = (power_at(&mut still, 1), power_at(&mut still, 30));
         assert_eq!(a.0, b.0);
 
         let mut varying = medium(vec![Position::on_line(0.0), Position::on_line(50.0)], false);
-        let a = varying.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(1));
-        let b = varying.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(30));
+        let (a, b) = (power_at(&mut varying, 1), power_at(&mut varying, 30));
         assert_ne!(a.0, b.0, "time-varying channel should move over 29 s");
     }
 }

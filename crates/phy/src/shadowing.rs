@@ -20,14 +20,12 @@
 //! days. Keying the state on the *directed* pair (a→b) yields the
 //! asymmetric channels the paper observed.
 
-use std::collections::HashMap;
-
 use desim::{SimDuration, SimRng, SimTime};
 
 use crate::units::{Db, Meters, NodeId};
 
 /// Hard bound on the total random deviation (slow + fast, dB) a single
-/// [`Shadowing::sample`] may return around the profile's `extra_loss`.
+/// shadowing sample may return around the profile's `extra_loss`.
 ///
 /// The deviation is clamped at *read time*; the underlying AR(1)/slow
 /// state evolves unclamped, so trajectories are unchanged and only the
@@ -114,8 +112,8 @@ impl DayProfile {
         }
     }
 
-    /// Lower bound (dB) on the excess loss any [`Shadowing::sample`] call
-    /// under this profile can ever return, i.e. the *best case* for a
+    /// Lower bound (dB) on the excess loss any shadowing sample under
+    /// this profile can ever return, i.e. the *best case* for a
     /// receiver. With both sigmas zero the sample short-circuits to
     /// exactly `extra_loss`; otherwise the read-time clamp guarantees the
     /// random deviation never exceeds [`DEVIATION_BOUND_DB`] in the
@@ -144,9 +142,8 @@ pub(crate) struct LinkState {
 }
 
 /// A directed link's shadowing state: its AR(1)/slow state plus its
-/// private substream, or `None` before first sample. Audible links keep
-/// it in their [`crate::Medium`] slice record; every other pair keeps it
-/// in the process's `HashMap` fallback.
+/// private substream, or `None` before first sample. It lives in the
+/// link's [`crate::Medium`] slice record.
 pub(crate) type LinkShadow = Option<(LinkState, SimRng)>;
 
 /// Initializes the state for the directed link `tx → rx`: derive the
@@ -214,19 +211,15 @@ fn advance_and_read(
 
 /// The per-link shadowing process for one simulation run.
 ///
-/// Each directed link's state lives in exactly one place for its whole
-/// lifetime (the AR(1) state is sequential, so splitting a link across
-/// two would fork its stream): the owning [`crate::Medium`]'s slice
-/// record for an audible link — the hot scatter path, no hashing — or a
-/// `HashMap` fallback for any other pair (probes, tests, culled links
-/// queried directly). Both go through one sample routine, and
-/// `init_link_state` is a pure function of `(master, tx, rx)`, so where
-/// the state lives, and when it was started, cannot show in the draws.
+/// The process holds the profile and the salted master stream; each
+/// directed link's state lives in the owning [`crate::Medium`]'s slice
+/// record, the hot scatter path, with no hashing. `init_link_state` is a
+/// pure function of `(master, tx, rx)`, so which record holds a link's
+/// state, and when it was started, cannot show in the draws.
 #[derive(Debug)]
 pub struct Shadowing {
     profile: DayProfile,
     master: SimRng,
-    links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
     /// AR(1) coefficient memo `(dt_bits, ρ, √(1-ρ²))` shared by every
     /// sample (see `advance_and_read`).
     ar1_memo: Option<(u64, f64, f64)>,
@@ -240,7 +233,6 @@ impl Shadowing {
         Shadowing {
             profile,
             master,
-            links: HashMap::new(),
             ar1_memo: None,
         }
     }
@@ -251,28 +243,16 @@ impl Shadowing {
     }
 
     /// Samples the total excess loss (weather offset + shadowing) on the
-    /// directed link `tx → rx` of length `distance` at time `now`.
+    /// directed link `tx → rx` of length `distance` at time `now`,
+    /// advancing the caller-held state `link` and starting it on first
+    /// sample.
     ///
     /// Consecutive samples on the same link are correlated with
     /// coherence time `τ`; samples on different links (including the
     /// reverse direction) are independent. Variance ramps with distance
-    /// (see [`DayProfile::sigma_full_distance`]).
-    ///
-    /// This is the `HashMap`-backed path for pairs outside the audible
-    /// sets; an audible link's state lives in its slice record instead.
-    pub fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
-        let mut link = self.links.remove(&(tx, rx));
-        let excess = self.sample_link(&mut link, tx, rx, distance, now);
-        if let Some(state) = link {
-            self.links.insert((tx, rx), state);
-        }
-        excess
-    }
-
-    /// The one sample routine: advances the caller-held state `link` of
-    /// the directed link `tx → rx`, starting it on first sample. The
-    /// AR(1) memo persists across calls on the owned process (one
-    /// `exp`+`sqrt` serves a whole scatter slice).
+    /// (see [`DayProfile::sigma_full_distance`]). The AR(1) memo persists
+    /// across calls on the owned process (one `exp`+`sqrt` serves a whole
+    /// scatter slice).
     pub(crate) fn sample_link(
         &mut self,
         link: &mut LinkShadow,
@@ -301,38 +281,15 @@ impl Shadowing {
         )
     }
 
-    // ---- epoch-commit support (crate-internal) ----------------------
-    //
-    // Slice-owned state is dropped or carried over by the owning
-    // `Medium` itself; these helpers handle the `HashMap` fallback.
-
-    /// Drops every HashMap-backed link whose endpoint is flagged in
-    /// `moved` (indexed by station id; out-of-range ids — probe pairs
-    /// tests invent — count as unmoved).
-    pub(crate) fn retain_unmoved_links(&mut self, moved: &[bool]) {
-        self.links.retain(|&(a, b), _| {
-            !moved.get(a.index()).copied().unwrap_or(false)
-                && !moved.get(b.index()).copied().unwrap_or(false)
-        });
-    }
-
-    /// Moves every HashMap-backed link of `other` into `self` (the
-    /// rebuild reference path transplants surviving fallback state into
-    /// the freshly constructed process).
-    pub(crate) fn adopt_links_from(&mut self, other: &mut Shadowing) {
-        self.links.extend(other.links.drain());
-    }
-
     /// A fresh process with the same profile and (already-salted) master
-    /// stream but no link state — what a from-scratch reconstruction of
-    /// the owning `Medium` starts from. Cloning the master directly is
+    /// stream — what a from-scratch reconstruction of the owning `Medium`
+    /// starts from. Cloning the master directly is
     /// deliberate: `Shadowing::new` already applied the profile salt, so
     /// re-deriving through it would double-salt the stream.
     pub(crate) fn fresh_like(&self) -> Shadowing {
         Shadowing {
             profile: self.profile.clone(),
             master: self.master.clone(),
-            links: HashMap::new(),
             ar1_memo: None,
         }
     }
@@ -346,11 +303,20 @@ mod tests {
         Shadowing::new(profile, SimRng::from_seed(seed))
     }
 
+    /// One sample of a link started fresh for it: the first draw of the
+    /// directed link `tx → rx`.
+    fn first(s: &mut Shadowing, tx: u32, rx: u32, distance: f64, now: SimTime) -> f64 {
+        s.sample_link(&mut None, NodeId(tx), NodeId(rx), Meters(distance), now)
+            .0
+    }
+
     #[test]
     fn still_profile_is_deterministic_offset() {
         let mut s = process(DayProfile::still(), 1);
+        let mut link = None;
         for k in 0..10 {
-            let v = s.sample(
+            let v = s.sample_link(
+                &mut link,
                 NodeId(0),
                 NodeId(1),
                 Meters(100.0),
@@ -364,37 +330,52 @@ mod tests {
     fn same_seed_reproduces_samples() {
         let mut a = process(DayProfile::clear(), 42);
         let mut b = process(DayProfile::clear(), 42);
+        let (mut la, mut lb) = (None, None);
         for k in 0..50 {
             let t = SimTime::from_millis(k * 7);
             assert_eq!(
-                a.sample(NodeId(0), NodeId(1), Meters(100.0), t).0.to_bits(),
-                b.sample(NodeId(0), NodeId(1), Meters(100.0), t).0.to_bits()
+                a.sample_link(&mut la, NodeId(0), NodeId(1), Meters(100.0), t)
+                    .0
+                    .to_bits(),
+                b.sample_link(&mut lb, NodeId(0), NodeId(1), Meters(100.0), t)
+                    .0
+                    .to_bits()
             );
         }
     }
 
     #[test]
-    fn slot_and_hashmap_paths_are_bitwise_identical() {
-        // Record-owned state (the audible-slice path) and the HashMap
-        // fallback must realize the same per-link process: same
-        // substream label, same draw order, same AR(1) advance.
-        // Interleave two links with irregular lags so the dt-keyed
-        // coefficient memo is exercised across links.
-        let mut a = process(DayProfile::clear(), 42);
-        let mut b = process(DayProfile::clear(), 42);
+    fn shared_process_matches_one_process_per_link_bitwise() {
+        // A link's draws depend only on its own state and substream: two
+        // links interleaved on one process, sharing its dt-keyed AR(1)
+        // memo, must realize exactly the streams each link gets from a
+        // process of its own. Irregular lags make consecutive samples
+        // alternate between memo hits and misses across the links.
+        let mut shared = process(DayProfile::clear(), 42);
+        let mut own_fwd = process(DayProfile::clear(), 42);
+        let mut own_rev = process(DayProfile::clear(), 42);
         let (mut fwd, mut rev): (LinkShadow, LinkShadow) = (None, None);
+        let (mut fwd_alone, mut rev_alone): (LinkShadow, LinkShadow) = (None, None);
         for k in 0..50u64 {
             let t = SimTime::from_millis(k * k % 97 + k * 7);
             assert_eq!(
-                a.sample(NodeId(3), NodeId(9), Meters(100.0), t).0.to_bits(),
-                b.sample_link(&mut fwd, NodeId(3), NodeId(9), Meters(100.0), t)
+                shared
+                    .sample_link(&mut fwd, NodeId(3), NodeId(9), Meters(100.0), t)
+                    .0
+                    .to_bits(),
+                own_fwd
+                    .sample_link(&mut fwd_alone, NodeId(3), NodeId(9), Meters(100.0), t)
                     .0
                     .to_bits()
             );
             let t2 = SimTime::from_millis(k * 13 + 5);
             assert_eq!(
-                a.sample(NodeId(9), NodeId(3), Meters(60.0), t2).0.to_bits(),
-                b.sample_link(&mut rev, NodeId(9), NodeId(3), Meters(60.0), t2)
+                shared
+                    .sample_link(&mut rev, NodeId(9), NodeId(3), Meters(60.0), t2)
+                    .0
+                    .to_bits(),
+                own_rev
+                    .sample_link(&mut rev_alone, NodeId(9), NodeId(3), Meters(60.0), t2)
                     .0
                     .to_bits()
             );
@@ -405,9 +386,9 @@ mod tests {
     fn directions_are_independent() {
         let mut s = process(DayProfile::clear(), 42);
         let t = SimTime::from_secs(1);
-        let fwd = s.sample(NodeId(0), NodeId(1), Meters(100.0), t);
-        let rev = s.sample(NodeId(1), NodeId(0), Meters(100.0), t);
-        assert_ne!(fwd.0, rev.0, "directed links should decorrelate");
+        let fwd = first(&mut s, 0, 1, 100.0, t);
+        let rev = first(&mut s, 1, 0, 100.0, t);
+        assert_ne!(fwd, rev, "directed links should decorrelate");
     }
 
     #[test]
@@ -419,16 +400,11 @@ mod tests {
         let mut long_pairs = Vec::new();
         for i in 0..300u32 {
             let (a, b) = (NodeId(i), NodeId(i + 1000));
-            let x0 = s.sample(a, b, Meters(100.0), SimTime::from_secs(1)).0;
-            let x1 = s
-                .sample(
-                    a,
-                    b,
-                    Meters(100.0),
-                    SimTime::from_secs(1) + SimDuration::from_millis(1),
-                )
-                .0;
-            let x2 = s.sample(a, b, Meters(100.0), SimTime::from_secs(20)).0;
+            let mut link = None;
+            let mut at = |t: SimTime| s.sample_link(&mut link, a, b, Meters(100.0), t).0;
+            let x0 = at(SimTime::from_secs(1));
+            let x1 = at(SimTime::from_secs(1) + SimDuration::from_millis(1));
+            let x2 = at(SimTime::from_secs(20));
             short_pairs.push((x0, x1));
             long_pairs.push((x0, x2));
         }
@@ -464,15 +440,7 @@ mod tests {
     fn marginal_std_matches_combined_sigma() {
         let mut s = process(DayProfile::clear(), 9);
         let vals: Vec<f64> = (0..2000u32)
-            .map(|i| {
-                s.sample(
-                    NodeId(i),
-                    NodeId(i + 10_000),
-                    Meters(100.0),
-                    SimTime::from_secs(5),
-                )
-                .0
-            })
+            .map(|i| first(&mut s, i, i + 10_000, 100.0, SimTime::from_secs(5)))
             .collect();
         let n = vals.len() as f64;
         let mean = vals.iter().sum::<f64>() / n;
@@ -493,15 +461,7 @@ mod tests {
         let mut s = process(DayProfile::clear(), 21);
         let spread = |d: f64, s: &mut Shadowing| {
             let vals: Vec<f64> = (0..500u32)
-                .map(|i| {
-                    s.sample(
-                        NodeId(i),
-                        NodeId(i + 5000),
-                        Meters(d),
-                        SimTime::from_secs(1),
-                    )
-                    .0
-                })
+                .map(|i| first(s, i, i + 5000, d, SimTime::from_secs(1)))
                 .collect();
             let n = vals.len() as f64;
             let mean = vals.iter().sum::<f64>() / n;
@@ -529,14 +489,7 @@ mod tests {
             let extra = profile.extra_loss.0;
             let mut s = process(profile, 13);
             for i in 0..5000u32 {
-                let v = s
-                    .sample(
-                        NodeId(i),
-                        NodeId(i + 50_000),
-                        Meters(200.0),
-                        SimTime::from_secs(3),
-                    )
-                    .0;
+                let v = first(&mut s, i, i + 50_000, 200.0, SimTime::from_secs(3));
                 assert!(
                     (v - extra).abs() <= DEVIATION_BOUND_DB,
                     "deviation {v} escaped the ±{DEVIATION_BOUND_DB} dB bound"
@@ -555,14 +508,7 @@ mod tests {
             let floor = profile.min_excess().0;
             let mut s = process(profile, 17);
             for i in 0..2000u32 {
-                let v = s
-                    .sample(
-                        NodeId(i),
-                        NodeId(i + 20_000),
-                        Meters(150.0),
-                        SimTime::from_secs(1),
-                    )
-                    .0;
+                let v = first(&mut s, i, i + 20_000, 150.0, SimTime::from_secs(1));
                 assert!(v >= floor, "sample {v} fell below min_excess {floor}");
             }
         }
@@ -577,15 +523,7 @@ mod tests {
         let mut rainy = process(DayProfile::rainy(), 3);
         let avg = |s: &mut Shadowing| {
             (0..500u32)
-                .map(|i| {
-                    s.sample(
-                        NodeId(i),
-                        NodeId(i + 1000),
-                        Meters(100.0),
-                        SimTime::from_secs(2),
-                    )
-                    .0
-                })
+                .map(|i| first(s, i, i + 1000, 100.0, SimTime::from_secs(2)))
                 .sum::<f64>()
                 / 500.0
         };

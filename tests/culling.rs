@@ -258,3 +258,83 @@ fn full_fanout_keeps_every_link() {
         .max();
     assert_eq!(max_audible, Some(19));
 }
+
+const SATURATED: Traffic = Traffic::SaturatedUdp {
+    payload_bytes: 512,
+    backlog: 10,
+};
+
+/// An N-station saturated chain at 80 m pitch (a reliable 2 Mb/s hop),
+/// one end-to-end flow, 500 ms with a 100 ms warm-up.
+fn chain(n: u32, full_fanout: bool) -> dot11_testbed::adhoc::Scenario {
+    let mut b = ScenarioBuilder::new(PhyRate::R2).chain(n, 80.0);
+    if full_fanout {
+        b = b.full_fanout();
+    }
+    b.seed(3)
+        .duration(SimDuration::from_millis(500))
+        .warmup(SimDuration::from_millis(100))
+        .flow(0, n - 1, SATURATED)
+        .build()
+}
+
+/// 4096 stations on a 12 km disk with three saturated flows.
+fn disk4096() -> dot11_testbed::adhoc::Scenario {
+    let mut b = ScenarioBuilder::new(PhyRate::R2)
+        .random_disk(4096, 12_000.0, 7)
+        .seed(3)
+        .duration(SimDuration::from_millis(500))
+        .warmup(SimDuration::from_millis(100));
+    for (src, dst) in [(0, 1), (2, 3), (4, 5)] {
+        b = b.flow(src, dst, SATURATED);
+    }
+    b.build()
+}
+
+/// Per-frame fan-out is exact arithmetic over static audible sets, so it
+/// is pinned as integers: dispatched events, transmitted frames and
+/// deliveries (Σ over stations of `tx_frames × audible_count`: every
+/// frame reaches its sender's whole audible set). Culling caps a chain
+/// station's fan-out at the ~2 km audible horizon, so deliveries per
+/// frame stay flat from chain64 up (13,300 / 423 ≈ 31.4), while the
+/// full-fanout chain256 pays all 255 other stations per frame
+/// (107,865 / 423) over the same events and frames. Losing the cull, or
+/// scattering past the audible set, moves a deliveries column. The rows
+/// pin fan-out, not goodput: inside 500 ms only chain4 and chain16
+/// deliver end to end, and the disk's three flows deliver nothing.
+#[test]
+fn scatter_fanout_is_pinned_per_chain_and_disk() {
+    let rows = [
+        ("chain4", chain(4, false), 1_379, 214, 642),
+        ("chain16", chain(16, false), 2_061, 332, 4_980),
+        ("chain64", chain(64, false), 2_579, 423, 13_300),
+        ("chain256", chain(256, false), 2_579, 423, 13_300),
+        ("chain1024", chain(1024, false), 2_579, 423, 13_300),
+        (
+            "chain256_full_fanout",
+            chain(256, true),
+            2_579,
+            423,
+            107_865,
+        ),
+        ("disk4096", disk4096(), 1_398, 201, 19_433),
+    ];
+    for (label, scenario, events, frames, deliveries) in rows {
+        let world = scenario.into_world();
+        let audible: Vec<u64> = (0..world.medium().station_count() as u32)
+            .map(|i| world.medium().audible_count(dot11_testbed::phy::NodeId(i)) as u64)
+            .collect();
+        let report = world.run();
+        let sent: u64 = report.nodes.iter().map(|nr| nr.phy.tx_frames).sum();
+        let delivered: u64 = report
+            .nodes
+            .iter()
+            .map(|nr| nr.phy.tx_frames * audible[nr.node.index()])
+            .sum();
+        assert_eq!(
+            (report.engine.events, sent, delivered),
+            (events, frames, deliveries),
+            "{label}: (events, frames, deliveries)"
+        );
+    }
+}

@@ -10,11 +10,16 @@
 //! report — flow observables, per-node counters, event-kind histogram,
 //! queue high-water, and the link-churn totals themselves.
 
-use desim::SimDuration;
+use std::time::{Duration, Instant};
+
+use desim::{SimDuration, SimRng};
 use dot11_testbed::adhoc::mobility::parse_trace;
 use dot11_testbed::adhoc::stats::MobilityStats;
 use dot11_testbed::adhoc::{MobilityConfig, RunReport, Scenario, ScenarioBuilder, Traffic};
-use dot11_testbed::phy::PhyRate;
+use dot11_testbed::phy::{
+    CullPolicy, DayProfile, Db, Dbm, LogDistance, Medium, MediumConfig, NodeId, PhyRate, Position,
+    Shadowing, CULL_MARGIN_DB,
+};
 
 const SATURATED: Traffic = Traffic::SaturatedUdp {
     payload_bytes: 512,
@@ -235,4 +240,103 @@ fn static_scenarios_report_zero_mobility() {
         .run();
     assert_eq!(report.engine.mobility, MobilityStats::default());
     assert_eq!(report.engine.kinds.iter_named()[16], ("topology_update", 0));
+}
+
+/// A constant-density sunflower spiral of `n` stations: the field radius
+/// grows with √n, so each station keeps the same handful of audible
+/// neighbours under the cull horizon at any n.
+fn spiral(n: usize) -> Vec<Position> {
+    let radius = 14_000.0 * (n as f64 / 64.0).sqrt();
+    (0..n)
+        .map(|k| {
+            let r = radius * ((k as f64 + 0.5) / n as f64).sqrt();
+            let th = k as f64 * 2.399_963_229_728_653;
+            Position {
+                x: r * th.cos(),
+                y: r * th.sin(),
+            }
+        })
+        .collect()
+}
+
+fn spiral_medium(n: usize) -> Medium {
+    let day = DayProfile::clear();
+    Medium::new(
+        spiral(n),
+        Shadowing::new(day.clone(), SimRng::from_seed(33)),
+        MediumConfig {
+            path_loss: LogDistance::anchored_at_free_space_1m(3.0).into(),
+            day,
+            propagation_delay: SimDuration::from_micros(1),
+            cull: CullPolicy::Audible {
+                tx_power: Dbm(15.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(CULL_MARGIN_DB),
+            },
+        },
+    )
+}
+
+/// An epoch commit is O(moved): at N = 1024 with 5 movers (~0.5%),
+/// `Medium::commit_epoch` must run at least 10× faster than the
+/// from-scratch `Medium::commit_epoch_rebuild`. The movers hop 75 m out
+/// on even epochs and back home on odd ones, so each medium bounces
+/// between two states; the two commit modes alternate epoch by epoch,
+/// and the floor compares their median epoch times — a same-process
+/// ratio, meaningful on any host.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock ratio; run with `cargo test --release`"
+)]
+fn incremental_epoch_is_ten_times_cheaper_than_rebuild_at_1024() {
+    let n = 1024;
+    let home = spiral(n);
+    let movers: Vec<usize> = (0..5).map(|m| m * (n / 5)).collect();
+    let out: Vec<(NodeId, Position)> = movers
+        .iter()
+        .map(|&i| {
+            let p = home[i];
+            let to = Position {
+                x: p.x + 60.0,
+                y: p.y - 45.0,
+            };
+            (NodeId(i as u32), to)
+        })
+        .collect();
+    let back: Vec<(NodeId, Position)> = movers
+        .iter()
+        .map(|&i| (NodeId(i as u32), home[i]))
+        .collect();
+    let sets = [out, back];
+    let mut incremental = spiral_medium(n);
+    let mut rebuilt = spiral_medium(n);
+    let mut samples = [Vec::new(), Vec::new()];
+    for epoch in 0..42 {
+        let moves = &sets[epoch % 2];
+        let t0 = Instant::now();
+        let a = incremental.commit_epoch(moves);
+        let t1 = Instant::now();
+        let b = rebuilt.commit_epoch_rebuild(moves);
+        let t2 = Instant::now();
+        assert_eq!(a, b, "epoch {epoch}: the two commit modes disagree");
+        assert_eq!(a.moved, 5);
+        // The first out-and-back pair is warm-up, as a run's first
+        // epochs would be.
+        if epoch >= 2 {
+            samples[0].push(t1 - t0);
+            samples[1].push(t2 - t1);
+        }
+    }
+    let [epoch, rebuild] = samples.map(|mut v: Vec<Duration>| {
+        v.sort();
+        v[v.len() / 2].as_secs_f64()
+    });
+    let speedup = rebuild / epoch;
+    assert!(
+        speedup >= 10.0,
+        "commit_epoch {:.1} µs is only {speedup:.1}× cheaper than rebuild {:.1} µs (floor 10×)",
+        1e6 * epoch,
+        1e6 * rebuild
+    );
 }

@@ -1,8 +1,13 @@
 //! Integration: the engine profiler is faithful and physics-invisible.
 
+use std::hint::black_box;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use desim::{SimDuration, WallProbe};
+use dot11_testbed::adhoc::analytic::AccessScheme;
+use dot11_testbed::adhoc::experiments::four_station::{self, FourStationLayout, SessionTransport};
+use dot11_testbed::adhoc::experiments::ExpConfig;
 use dot11_testbed::adhoc::world::PROBE_SCOPES;
 use dot11_testbed::adhoc::{Scenario, ScenarioBuilder, Traffic};
 use dot11_testbed::phy::{DayProfile, PhyRate};
@@ -85,10 +90,10 @@ fn phase_scopes_fire_and_attribution_is_high() {
         assert!(s.count > 0, "{phase} never fired");
         assert!(s.max_ns >= s.min_ns);
     }
-    // The ≥ 95% attribution target is asserted by the serial `profile`
-    // bench; here the test binary runs four simulations concurrently, so
-    // descheduling between scopes can eat a visible slice of the short
-    // wall time. Assert the order of magnitude, not the benched figure.
+    // The ≥ 95% attribution target is asserted on a longer run by
+    // `chain1024_attribution_is_high_and_response_path_visible`; this
+    // short cell loses a visible share of its wall time to any
+    // descheduling between scopes, so assert the order of magnitude.
     let frac = report
         .engine
         .attributed_fraction()
@@ -101,8 +106,7 @@ fn phase_scopes_fire_and_attribution_is_high() {
 }
 
 /// The profiler has no large-N blind spot: a probed kilo-station chain
-/// still attributes ≥ 95% of its wall time to named kind scopes (the
-/// same bar the serial `profile` bench holds chain256 to), and the
+/// still attributes ≥ 95% of its wall time to named kind scopes, and the
 /// precomputed-response fast path stays visible through its dedicated
 /// `phase_response_build` scope.
 #[test]
@@ -184,4 +188,62 @@ fn only_an_armed_probe_reports() {
     assert!(disarmed.engine.attributed_fraction().is_none());
     let armed = contended_cell().run_probed(NullSink, WallProbe::new(&PROBE_SCOPES));
     assert!(armed.engine.profile.is_some());
+}
+
+/// The probe is zero-cost when disarmed: a world built with probes
+/// compiled out (`Scenario::run`) and one with `WallProbe::off` compiled
+/// in run the Figure 7 UDP/basic cell (seed 3, 1 s session, 200 ms
+/// warm-up) at the same speed. The two variants alternate, so a slow
+/// spell of the host lands on both, and their median wall times must
+/// agree within 25% — a same-process ratio, meaningful on any host.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock ratio; run with `cargo test --release`"
+)]
+fn disarmed_probe_costs_the_same_as_no_probe() {
+    let _quiet = quiet();
+    let cell = || {
+        let config = ExpConfig {
+            seed: 3,
+            duration: SimDuration::from_secs(1),
+            warmup: SimDuration::from_millis(200),
+        };
+        four_station::scenario(
+            config,
+            PhyRate::R11,
+            FourStationLayout::AsymmetricAt11,
+            SessionTransport::Udp,
+            AccessScheme::Basic,
+        )
+    };
+    let compiled_out = || cell().run().engine.events;
+    let disarmed = || {
+        cell()
+            .run_probed(NullSink, WallProbe::off(&PROBE_SCOPES))
+            .engine
+            .events
+    };
+    // The first pair warms both paths and is not timed.
+    assert_eq!(compiled_out(), disarmed(), "same events either way");
+    let mut samples = [Vec::new(), Vec::new()];
+    for i in 0..31 {
+        for k in [i % 2, 1 - i % 2] {
+            let t0 = Instant::now();
+            black_box(if k == 0 { compiled_out() } else { disarmed() });
+            samples[k].push(t0.elapsed());
+        }
+    }
+    let [out, off] = samples.map(|mut v: Vec<Duration>| {
+        v.sort();
+        v[v.len() / 2].as_secs_f64()
+    });
+    let ratio = out.max(off) / out.min(off);
+    assert!(
+        ratio <= 1.25,
+        "compiled-out {:.3} ms vs disarmed {:.3} ms per run differ by {:.0}% (limit 25%)",
+        1e3 * out,
+        1e3 * off,
+        100.0 * (ratio - 1.0)
+    );
 }
