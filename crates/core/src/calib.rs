@@ -28,8 +28,7 @@
 //! 25 m links keep the ~3 dB median margin the paper's own experiments
 //! evidently had (their Figure 7 sessions move megabits).
 
-use desim::SimDuration;
-use dot11_phy::{CullPolicy, DayProfile, Db, DualSlope, LogDistance, MediumConfig, Meters};
+use dot11_phy::{Db, DualSlope, LogDistance, Meters};
 
 /// The calibrated path-loss model (see module docs).
 pub fn calibrated_path_loss() -> LogDistance {
@@ -53,19 +52,6 @@ pub fn calibrated_dual_slope() -> DualSlope {
         near: calibrated_path_loss(),
         breakpoint: Meters(500.0),
         far_exponent: 4.0,
-    }
-}
-
-/// A ready-to-use medium configuration: calibrated path loss, the given
-/// day profile, the paper's τ = 1 µs propagation delay, and no culling
-/// (standalone `Medium` users have no TX power bound on record; `World`
-/// installs the radio-aware audible-set policy itself).
-pub fn calibrated_medium_config(day: DayProfile) -> MediumConfig {
-    MediumConfig {
-        path_loss: calibrated_path_loss().into(),
-        day,
-        propagation_delay: SimDuration::from_micros(1),
-        cull: CullPolicy::Full,
     }
 }
 

@@ -21,7 +21,7 @@ use dot11_net::FlowId;
 use dot11_phy::PhyRate;
 
 use crate::analytic::AccessScheme;
-use crate::scenario::{ScenarioBuilder, Traffic};
+use crate::scenario::{Scenario, ScenarioBuilder, Traffic};
 use crate::stats::RunReport;
 
 use super::ExpConfig;
@@ -81,6 +81,21 @@ pub struct FourStationCell {
 }
 
 impl FourStationCell {
+    /// The cell a finished run reports: session 1 is flow 0, session 2
+    /// flow 1.
+    pub fn from_report(
+        transport: SessionTransport,
+        scheme: AccessScheme,
+        report: &RunReport,
+    ) -> FourStationCell {
+        FourStationCell {
+            transport,
+            scheme,
+            session1_kbps: report.flow(FlowId(0)).throughput_kbps,
+            session2_kbps: report.flow(FlowId(1)).throughput_kbps,
+        }
+    }
+
     /// Session-2-over-session-1 throughput ratio (∞-safe: returns
     /// `f64::INFINITY` when session 1 starved completely).
     pub fn imbalance(&self) -> f64 {
@@ -92,37 +107,104 @@ impl FourStationCell {
     }
 }
 
-/// Runs one four-station configuration: both transports × both schemes.
-pub fn four_station(
-    cfg: ExpConfig,
-    rate: PhyRate,
-    layout: FourStationLayout,
-) -> Vec<FourStationCell> {
-    let mut cells = Vec::with_capacity(4);
-    for transport in [SessionTransport::Udp, SessionTransport::Tcp] {
-        for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
-            let report = run_once(cfg, rate, layout, transport, scheme);
-            cells.push(FourStationCell {
-                transport,
-                scheme,
-                session1_kbps: report.flow(FlowId(0)).throughput_kbps,
-                session2_kbps: report.flow(FlowId(1)).throughput_kbps,
-            });
-        }
+/// One four-station figure of the paper: the NIC rate and the station
+/// geometry its four cells run at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Figure {
+    /// The figure's number in the paper.
+    pub number: u32,
+    /// NIC data rate.
+    pub rate: PhyRate,
+    /// Station geometry.
+    pub layout: FourStationLayout,
+    /// The section heading the `repro` report prints above the figure.
+    pub title: &'static str,
+}
+
+/// The paper's four-station figures, in report order. Every consumer —
+/// the `repro` report, its JSON and trace outputs, and the sweep layer's
+/// figure recipes — reads the figure → rate/layout mapping from here.
+pub const FIGURES: [Figure; 4] = [
+    Figure {
+        number: 7,
+        rate: PhyRate::R11,
+        layout: FourStationLayout::AsymmetricAt11,
+        title: "FIGURE 7 — asymmetric scenario, 11 Mb/s (d = 25/82.5/25 m)",
+    },
+    Figure {
+        number: 9,
+        rate: PhyRate::R2,
+        layout: FourStationLayout::AsymmetricAt2,
+        title: "FIGURE 9 — asymmetric scenario, 2 Mb/s (d = 25/92.5/25 m)",
+    },
+    Figure {
+        number: 11,
+        rate: PhyRate::R11,
+        layout: FourStationLayout::Symmetric,
+        title: "FIGURE 11 — symmetric scenario, 11 Mb/s (d = 25/62.5/25 m)",
+    },
+    Figure {
+        number: 12,
+        rate: PhyRate::R2,
+        layout: FourStationLayout::Symmetric,
+        title: "FIGURE 12 — symmetric scenario, 2 Mb/s (d = 25/62.5/25 m)",
+    },
+];
+
+/// The four cells of every figure, in report order: both transports ×
+/// both access schemes.
+pub const CELLS: [(SessionTransport, AccessScheme); 4] = [
+    (SessionTransport::Udp, AccessScheme::Basic),
+    (SessionTransport::Udp, AccessScheme::RtsCts),
+    (SessionTransport::Tcp, AccessScheme::Basic),
+    (SessionTransport::Tcp, AccessScheme::RtsCts),
+];
+
+/// Looks a figure up in [`FIGURES`] by its number.
+///
+/// # Panics
+///
+/// Panics on a number the paper has no four-station figure for.
+pub fn figure(number: u32) -> Figure {
+    FIGURES
+        .into_iter()
+        .find(|f| f.number == number)
+        .unwrap_or_else(|| panic!("no four-station figure {number} in the paper (7, 9, 11, 12)"))
+}
+
+impl Figure {
+    /// Builds the scenario of one cell of this figure.
+    pub fn scenario(
+        self,
+        cfg: ExpConfig,
+        transport: SessionTransport,
+        scheme: AccessScheme,
+    ) -> Scenario {
+        scenario(cfg, self.rate, self.layout, transport, scheme)
     }
-    cells
+
+    /// Runs the figure's four cells, in [`CELLS`] order.
+    pub fn run(self, cfg: ExpConfig) -> Vec<FourStationCell> {
+        CELLS
+            .into_iter()
+            .map(|(transport, scheme)| {
+                let report = self.scenario(cfg, transport, scheme).run();
+                FourStationCell::from_report(transport, scheme, &report)
+            })
+            .collect()
+    }
 }
 
 /// Builds the scenario for one four-station cell without running it —
-/// callers that want a trace or time-series attach a sink via
-/// [`crate::Scenario::run_with`].
+/// callers that want a trace, a time series or a profile attach a sink
+/// or probe via [`Scenario::run_with`] or [`Scenario::run_probed`].
 pub fn scenario(
     cfg: ExpConfig,
     rate: PhyRate,
     layout: FourStationLayout,
     transport: SessionTransport,
     scheme: AccessScheme,
-) -> crate::Scenario {
+) -> Scenario {
     let traffic = match transport {
         SessionTransport::Udp => Traffic::SaturatedUdp {
             payload_bytes: 512,
@@ -139,36 +221,6 @@ pub fn scenario(
         .flow(0, 1, traffic)
         .flow(2, 3, traffic)
         .build()
-}
-
-fn run_once(
-    cfg: ExpConfig,
-    rate: PhyRate,
-    layout: FourStationLayout,
-    transport: SessionTransport,
-    scheme: AccessScheme,
-) -> RunReport {
-    scenario(cfg, rate, layout, transport, scheme).run()
-}
-
-/// Figure 7: asymmetric scenario at 11 Mb/s.
-pub fn figure7(cfg: ExpConfig) -> Vec<FourStationCell> {
-    four_station(cfg, PhyRate::R11, FourStationLayout::AsymmetricAt11)
-}
-
-/// Figure 9: asymmetric scenario at 2 Mb/s.
-pub fn figure9(cfg: ExpConfig) -> Vec<FourStationCell> {
-    four_station(cfg, PhyRate::R2, FourStationLayout::AsymmetricAt2)
-}
-
-/// Figure 11: symmetric scenario at 11 Mb/s.
-pub fn figure11(cfg: ExpConfig) -> Vec<FourStationCell> {
-    four_station(cfg, PhyRate::R11, FourStationLayout::Symmetric)
-}
-
-/// Figure 12: symmetric scenario at 2 Mb/s.
-pub fn figure12(cfg: ExpConfig) -> Vec<FourStationCell> {
-    four_station(cfg, PhyRate::R2, FourStationLayout::Symmetric)
 }
 
 /// Convenience: the cell for a given transport and scheme.

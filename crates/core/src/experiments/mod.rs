@@ -14,10 +14,15 @@
 //! | Figure 3 | [`figure3::figure3`] |
 //! | Figure 4 | [`figure4::figure4`] |
 //! | Table 3 | [`table3::table3`] |
-//! | Figures 6–7 | [`four_station::figure7`] |
-//! | Figures 8–9 | [`four_station::figure9`] |
-//! | Figures 10–11 | [`four_station::figure11`] |
-//! | Figure 12 | [`four_station::figure12`] |
+//! | Figures 6–7 | [`four_station::figure`]`(7)` |
+//! | Figures 8–9 | [`four_station::figure`]`(9)` |
+//! | Figures 10–11 | [`four_station::figure`]`(11)` |
+//! | Figure 12 | [`four_station::figure`]`(12)` |
+//!
+//! The four-station rows all read one table, [`four_station::FIGURES`]
+//! (figure number → NIC rate, station layout, report title), and run the
+//! cells of [`four_station::CELLS`] (UDP/TCP × basic/RTS) through
+//! [`four_station::Figure::run`].
 //!
 //! Extensions (not in the paper, motivated by its §1–2):
 //! [`arf::arf_sweep`] compares dynamic rate switching against the fixed
@@ -69,12 +74,6 @@ impl ExpConfig {
             duration: SimDuration::from_secs(4),
             warmup: SimDuration::from_millis(500),
         }
-    }
-
-    /// The same configuration with another seed.
-    pub fn with_seed(mut self, seed: u64) -> ExpConfig {
-        self.seed = seed;
-        self
     }
 }
 

@@ -91,11 +91,6 @@ impl StableHasher {
         self.write_u64(v.to_bits());
     }
 
-    /// Absorbs a `bool` as a single byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
     /// The 64-bit digest of everything written so far.
     pub fn finish(&self) -> u64 {
         self.state

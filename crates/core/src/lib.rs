@@ -43,7 +43,7 @@ pub mod scenario;
 pub mod stats;
 pub mod world;
 
-pub use calib::{calibrated_medium_config, calibrated_path_loss};
+pub use calib::calibrated_path_loss;
 pub use mobility::{MobilityConfig, MovementModel, TracePoint};
 pub use range::{estimate_crossing, LossCurve};
 pub use scenario::{Scenario, ScenarioBuilder, Traffic};

@@ -21,11 +21,11 @@
 //! assert!(report.flow(dot11_net::FlowId(0)).throughput_kbps > 1000.0);
 //! ```
 
-use desim::{SimDuration, SimRng};
+use desim::{NoProbe, Probe, SimDuration, SimRng};
 use dot11_mac::MacConfig;
 use dot11_net::{FlowId, StaticRoutes};
 use dot11_phy::{DayProfile, NodeId, PathLossModel, PhyRate, Position, RadioConfig};
-use dot11_trace::TraceSink;
+use dot11_trace::{NullSink, TraceSink};
 
 use crate::calib::{calibrated_dual_slope, calibrated_path_loss};
 use crate::mobility::{MobilityConfig, MovementModel};
@@ -162,9 +162,9 @@ impl Scenario {
         self
     }
 
-    /// Builds the simulation world.
+    /// Builds the simulation world, untraced and unprobed.
     pub fn into_world(self) -> World {
-        World::new(self)
+        World::new(self, NullSink, NoProbe)
     }
 
     /// Builds and runs to completion.
@@ -172,30 +172,24 @@ impl Scenario {
         self.into_world().run()
     }
 
-    /// Builds the world with a trace sink attached (see
-    /// [`World::with_sink`]).
-    pub fn into_world_with<S: TraceSink + Clone>(self, sink: S) -> World<S> {
-        World::with_sink(self, sink)
-    }
-
     /// Builds and runs to completion with a trace sink attached.
     pub fn run_with<S: TraceSink + Clone>(self, sink: S) -> RunReport {
-        self.into_world_with(sink).run()
+        World::new(self, sink, NoProbe).run()
     }
 
     /// Builds the world with both a trace sink and a timing probe (see
-    /// [`World::with_probe`]).
-    pub fn into_world_probed<S: TraceSink + Clone, P: desim::Probe>(
+    /// [`World::new`]).
+    pub fn into_world_probed<S: TraceSink + Clone, P: Probe>(
         self,
         sink: S,
         probe: P,
     ) -> World<S, P> {
-        World::with_probe(self, sink, probe)
+        World::new(self, sink, probe)
     }
 
     /// Builds and runs to completion with a timing probe attached; an
     /// armed probe's histogram lands in `RunReport.engine.profile`.
-    pub fn run_probed<S: TraceSink + Clone, P: desim::Probe>(self, sink: S, probe: P) -> RunReport {
+    pub fn run_probed<S: TraceSink + Clone, P: Probe>(self, sink: S, probe: P) -> RunReport {
         self.into_world_probed(sink, probe).run()
     }
 }

@@ -128,9 +128,8 @@ impl MobilityStats {
 /// and how fast it went relative to simulated time.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
-    /// Events dispatched by the simulator.
-    pub events: u64,
-    /// Dispatched events broken down by kind (sums to `events`).
+    /// Dispatched events broken down by kind; [`EventKindCounts::total`]
+    /// is the run's event count ([`RunReport::events`]).
     pub kinds: EventKindCounts,
     /// Link churn across mobility epochs (all zero on static scenarios).
     pub mobility: MobilityStats,
@@ -163,7 +162,7 @@ impl EngineStats {
     pub fn events_per_sec(&self) -> f64 {
         let w = self.wall.as_secs_f64();
         if w > 0.0 {
-            self.events as f64 / w
+            self.kinds.total() as f64 / w
         } else {
             0.0
         }
@@ -290,8 +289,7 @@ pub struct RunReport {
     pub flows: Vec<FlowReport>,
     /// Per-station counters, in station order.
     pub nodes: Vec<NodeReport>,
-    /// Events dispatched by the simulator (diagnostic; mirrors
-    /// `engine.events`).
+    /// Events dispatched by the simulator.
     pub events: u64,
     /// Engine self-instrumentation.
     pub engine: EngineStats,
@@ -361,8 +359,9 @@ mod tests {
             nodes: vec![],
             events: 1234,
             engine: EngineStats {
-                events: 1234,
-                kinds: EventKindCounts::default(),
+                kinds: EventKindCounts {
+                    counts: std::array::from_fn(|k| if k == 1 { 1234 } else { 0 }),
+                },
                 mobility: MobilityStats::default(),
                 queue_high_water: 7,
                 sim_elapsed: SimDuration::from_secs(10),
@@ -452,9 +451,10 @@ mod tests {
 
     #[test]
     fn engine_rates_guard_zero_wall() {
+        let mut kinds = EventKindCounts::default();
+        kinds.counts[1] = 10;
         let e = EngineStats {
-            events: 10,
-            kinds: EventKindCounts::default(),
+            kinds,
             mobility: MobilityStats::default(),
             queue_high_water: 1,
             sim_elapsed: SimDuration::from_secs(1),
@@ -479,7 +479,6 @@ mod tests {
             max_ns: total_ns,
         };
         let e = EngineStats {
-            events: 2,
             kinds,
             mobility: MobilityStats::default(),
             queue_high_water: 1,

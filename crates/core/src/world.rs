@@ -200,12 +200,12 @@ impl<T> BufPool<T> {
 /// The assembled simulation (see module docs).
 ///
 /// Generic over a [`TraceSink`]; the default [`NullSink`] compiles every
-/// emission site away. Pass a real sink (usually a
-/// [`dot11_trace::SharedSink`], which is `Clone`) via
-/// [`World::with_sink`] to observe the run. Likewise generic over a
-/// [`Probe`]; the default [`NoProbe`] compiles the timing scopes away,
-/// and [`World::with_probe`] accepts an armed [`desim::WallProbe`] over
-/// [`PROBE_SCOPES`] to measure where the engine's wall time goes.
+/// emission site away, and a real sink (usually a
+/// [`dot11_trace::SharedSink`], which is `Clone`) observes the run.
+/// Likewise generic over a [`Probe`]; the default [`NoProbe`] compiles
+/// the timing scopes away, and an armed [`desim::WallProbe`] over
+/// [`PROBE_SCOPES`] measures where the engine's wall time goes. Both are
+/// chosen once, in [`World::new`].
 pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     sim: Simulator<Event>,
     medium: Medium,
@@ -252,26 +252,12 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     move_scratch: Vec<(NodeId, dot11_phy::Position)>,
 }
 
-impl World {
-    /// Assembles a world from a scenario with tracing disabled.
-    pub fn new(scenario: Scenario) -> World {
-        World::with_sink(scenario, NullSink)
-    }
-}
-
-impl<S: TraceSink + Clone> World<S> {
-    /// Assembles a world from a scenario, wiring `sink` through every
-    /// layer (PHY, MAC, TCP, and the world's own frame/flow events).
-    pub fn with_sink(scenario: Scenario, sink: S) -> World<S> {
-        World::with_probe(scenario, sink, NoProbe)
-    }
-}
-
 impl<S: TraceSink + Clone, P: Probe> World<S, P> {
-    /// Assembles a world from a scenario with both a trace sink and a
-    /// timing probe (usually a [`desim::WallProbe`] over
-    /// [`PROBE_SCOPES`]).
-    pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
+    /// Assembles a world from a scenario, wiring `sink` through every
+    /// layer (PHY, MAC, TCP, and the world's own frame/flow events) and
+    /// timing the dispatch loop with `probe` ([`NullSink`] and
+    /// [`NoProbe`] compile both away).
+    pub fn new(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
         let Scenario {
             positions,
             radio,
@@ -981,7 +967,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             nodes,
             events: self.sim.events_dispatched(),
             engine: EngineStats {
-                events: self.sim.events_dispatched(),
                 kinds: self.kind_counts,
                 mobility: self.mobility_stats,
                 queue_high_water: self.sim.queue_high_water(),

@@ -11,12 +11,8 @@
 //! `P: Probe`, and the default [`NoProbe`] has `ENABLED = false` with
 //! empty inline `tick`/`record` bodies, so every instrumentation site
 //! compiles away at monomorphization time — an unprofiled simulation pays
-//! zero cost, verified by the `profile` bench group's overhead gate.
-//! A [`WallProbe`] can additionally be constructed *disarmed*
-//! ([`WallProbe::off`]): the sites stay compiled in but `tick` returns
-//! `None` and `record` does nothing, which is the "enabled but off"
-//! configuration the overhead gate compares against the compiled-out
-//! build.
+//! zero cost. A probe has two states and no third: compiled out
+//! ([`NoProbe`]) or armed ([`WallProbe::new`]).
 //!
 //! Scopes are plain indices into the driver-declared name table, so the
 //! probe stays below every protocol crate in the dependency graph and
@@ -127,75 +123,40 @@ impl ProbeReport {
     pub fn scope(&self, name: &str) -> Option<&ScopeStats> {
         self.scopes.iter().find(|s| s.name == name)
     }
-
-    /// Total recorded wall time over `names`, nanoseconds. Names missing
-    /// from the table contribute nothing.
-    pub fn total_ns_of(&self, names: &[&str]) -> u64 {
-        names
-            .iter()
-            .filter_map(|n| self.scope(n))
-            .map(|s| s.total_ns)
-            .sum()
-    }
 }
 
-/// A wall-clock probe over a driver-declared scope table.
-///
-/// Construct armed with [`WallProbe::new`] or disarmed with
-/// [`WallProbe::off`] (sites compiled in, nothing measured — the
-/// configuration the overhead gate benchmarks).
+/// An armed wall-clock probe over a driver-declared scope table: every
+/// tick reads the monotonic clock and [`Probe::report`] always returns
+/// the histogram.
 #[derive(Debug, Clone)]
 pub struct WallProbe {
-    armed: bool,
     scopes: Vec<ScopeStats>,
 }
 
 impl WallProbe {
-    /// An armed probe over `names`; scope indices follow table order.
+    /// A probe over `names`; scope indices follow table order.
     pub fn new(names: &'static [&'static str]) -> WallProbe {
         WallProbe {
-            armed: true,
             scopes: names.iter().map(|n| ScopeStats::empty(n)).collect(),
         }
-    }
-
-    /// A disarmed probe: instrumentation sites stay compiled in
-    /// (`ENABLED` is `true`) but every tick returns `None`, so nothing is
-    /// measured and [`Probe::report`] returns `None`.
-    pub fn off(names: &'static [&'static str]) -> WallProbe {
-        WallProbe {
-            armed: false,
-            scopes: names.iter().map(|n| ScopeStats::empty(n)).collect(),
-        }
-    }
-
-    /// Whether this probe is measuring.
-    pub fn is_armed(&self) -> bool {
-        self.armed
     }
 }
 
 impl Probe for WallProbe {
-    type Tick = Option<Instant>;
+    type Tick = Instant;
 
     #[inline]
-    fn tick(&self) -> Option<Instant> {
-        if self.armed {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    fn tick(&self) -> Instant {
+        Instant::now()
     }
 
     #[inline]
-    fn record(&mut self, scope: usize, since: Option<Instant>) {
-        if let Some(t0) = since {
-            self.scopes[scope].add(t0.elapsed().as_nanos() as u64);
-        }
+    fn record(&mut self, scope: usize, since: Instant) {
+        self.scopes[scope].add(since.elapsed().as_nanos() as u64);
     }
 
     fn report(&self) -> Option<ProbeReport> {
-        self.armed.then(|| ProbeReport {
+        Some(ProbeReport {
             scopes: self.scopes.clone(),
         })
     }
@@ -227,7 +188,6 @@ mod tests {
     #[test]
     fn wall_probe_accumulates_per_scope() {
         let mut p = WallProbe::new(&SCOPES);
-        assert!(p.is_armed());
         for _ in 0..3 {
             let t = p.tick();
             std::hint::black_box(());
@@ -244,29 +204,6 @@ mod tests {
         assert_eq!(report.scope("alpha").expect("alpha").count, 0);
         assert_eq!(report.scope("gamma").expect("gamma").count, 1);
         assert!(report.scope("missing").is_none());
-    }
-
-    #[test]
-    fn disarmed_probe_measures_and_reports_nothing() {
-        let mut p = WallProbe::off(&SCOPES);
-        assert!(!p.is_armed());
-        let t = p.tick();
-        assert!(t.is_none());
-        p.record(0, t);
-        assert!(p.report().is_none());
-    }
-
-    #[test]
-    fn report_totals_over_names() {
-        let mut p = WallProbe::new(&SCOPES);
-        let t = p.tick();
-        p.record(0, t);
-        let t = p.tick();
-        p.record(1, t);
-        let r = p.report().expect("report");
-        let all = r.total_ns_of(&["alpha", "beta", "gamma", "missing"]);
-        let sum: u64 = r.scopes.iter().map(|s| s.total_ns).sum();
-        assert_eq!(all, sum);
     }
 
     #[test]

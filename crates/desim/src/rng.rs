@@ -138,16 +138,6 @@ impl SimRng {
     pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.gen_std_normal()
     }
-
-    /// Exponential draw with the given mean (rate 1/mean).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "exponential mean must be positive, got {mean}");
-        -mean * self.gen_f64_open_zero().ln()
-    }
 }
 
 /// Expands a 64-bit seed into a full xoshiro256++ state via SplitMix64, the
@@ -238,14 +228,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.1, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn exponential_mean_is_sane() {
-        let mut r = SimRng::from_seed(13);
-        let n = 20_000;
-        let mean = (0..n).map(|_| r.gen_exp(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.2, "mean {mean} too far from 4");
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl<E> Simulator<E> {
         self.queue.push(at, event)
     }
 
-    /// Schedules `event` at the current instant (after all events already
-    /// scheduled for this instant).
-    pub fn schedule_now(&mut self, event: E) -> EventHandle {
-        self.queue.push(self.now, event)
-    }
-
     /// Schedules `event` after `delay` in the **trailing class**: at its
     /// firing instant it pops after every ordinary event, and among
     /// trailing events the most recently scheduled pops first (see
@@ -123,11 +117,6 @@ impl<E> Simulator<E> {
     /// Number of live pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True if no live events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Total number of events dispatched so far (a cheap progress/loop
@@ -175,18 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_runs_after_earlier_same_instant_events() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_micros(10), 1);
-        sim.schedule_at(SimTime::from_micros(10), 2);
-        let (_, first) = sim.pop().expect("event");
-        assert_eq!(first, 1);
-        sim.schedule_now(3);
-        assert_eq!(sim.pop().map(|(_, e)| e), Some(2));
-        assert_eq!(sim.pop().map(|(_, e)| e), Some(3));
-    }
-
-    #[test]
     fn trailing_events_fire_after_ordinary_same_instant_events() {
         let mut sim = Simulator::new();
         sim.schedule_in_trailing(SimDuration::from_micros(10), "trailing");
@@ -212,7 +189,6 @@ mod tests {
         sim.schedule_in(SimDuration::from_micros(2), "work");
         assert!(sim.cancel(h));
         assert_eq!(sim.pop().map(|(_, e)| e), Some("work"));
-        assert!(sim.is_idle());
         assert_eq!(sim.pending(), 0);
     }
 }

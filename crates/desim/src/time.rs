@@ -84,11 +84,6 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The span from `earlier` to `self`, or `None` if `earlier` is later.
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -331,7 +326,6 @@ mod tests {
             SimDuration::from_micros(20)
         );
         assert_eq!(early.saturating_duration_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_duration_since(late), None);
     }
 
     #[test]

@@ -68,19 +68,6 @@ impl MacConfig {
         self
     }
 
-    /// The same configuration with classic ARF rate switching on,
-    /// starting from the configured data rate.
-    pub fn with_arf(mut self) -> MacConfig {
-        self.arf = ArfConfig::classic();
-        self
-    }
-
-    /// The same configuration under a different backoff policy.
-    pub fn with_backoff(mut self, backoff: BackoffConfig) -> MacConfig {
-        self.backoff = backoff;
-        self
-    }
-
     /// The same configuration with the contention-window bounds moved —
     /// the CWmin/CWmax sensitivity axis (Siddik et al.,
     /// arXiv:2206.12615). `cw_min` must be ≥ 1 and ≤ `cw_max`.

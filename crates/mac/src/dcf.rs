@@ -25,7 +25,7 @@ use crate::frame::{
     FrameKind, MacFrame, MacSdu, ACK_BYTES, CTS_BYTES, DATA_HEADER_BYTES, RTS_BYTES,
 };
 use crate::ledger::{DeferCat, DeferLedger};
-use crate::policy::{AnyPolicy, BackoffPolicy};
+use crate::policy::AnyPolicy;
 
 /// Timers the MAC asks the driver to run on its behalf.
 ///

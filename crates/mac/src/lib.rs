@@ -53,5 +53,5 @@ pub use frame::{
     FrameKind, MacFrame, MacSdu, ACK_BYTES, BROADCAST, CTS_BYTES, DATA_HEADER_BYTES, RTS_BYTES,
 };
 pub use ledger::DeferLedger;
-pub use policy::{AnyPolicy, BackoffConfig, BackoffPolicy, Beb, CtAdapt, CtAdaptConfig, FixedCw};
+pub use policy::{AnyPolicy, BackoffConfig, Beb, CtAdapt, CtAdaptConfig, FixedCw};
 pub use timing::MacTiming;

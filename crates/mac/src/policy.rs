@@ -1,19 +1,21 @@
 //! Pluggable contention-window (backoff) policies.
 //!
 //! The DCF state machine in [`crate::DcfMac`] owns *when* a backoff is
-//! drawn and *which* RNG substream the draw comes from; a
-//! [`BackoffPolicy`] only decides **how wide the contention window is**
-//! at each of the two decision points the standard defines:
+//! drawn and *which* RNG substream the draw comes from; a policy only
+//! decides **how wide the contention window is** at each of the two
+//! decision points the standard defines:
 //!
 //! - after a failed attempt (CTS/ACK timeout) — classically the window
 //!   doubles, and
 //! - after the current frame completes (delivered or dropped) —
 //!   classically the window resets to CWmin.
 //!
-//! Three policies ship:
+//! Three policies ship, each with inherent `on_failure`/`on_complete`
+//! methods, and [`AnyPolicy`] dispatches over them by `match` (no trait
+//! object, no trait):
 //!
 //! - [`Beb`] — binary exponential backoff, byte-identical to the
-//!   hard-wired ladder this trait was extracted from (proven by the
+//!   hard-wired ladder the policies were extracted from (proven by the
 //!   golden-trace suite);
 //! - [`FixedCw`] — a constant window, the classic ablation for
 //!   separating contention-window dynamics from everything else;
@@ -38,7 +40,7 @@
 //! sustained collisions, then relax once the channel clears:
 //!
 //! ```
-//! use dot11_mac::{BackoffPolicy, CtAdapt, CtAdaptConfig, MacTiming};
+//! use dot11_mac::{CtAdapt, CtAdaptConfig, MacTiming};
 //!
 //! let timing = MacTiming::dsss();
 //! let mut policy = CtAdapt::new(CtAdaptConfig::default());
@@ -57,42 +59,23 @@
 
 use crate::timing::MacTiming;
 
-/// How a station's contention window evolves.
-///
-/// Implementations are stepped by [`crate::DcfMac`] at the two points
-/// where 802.11 re-draws a backoff; the return value becomes the new
-/// window and the MAC draws uniformly in `[0, cw)` from its own RNG
-/// substream. The module docs above spell out the determinism contract
-/// and walk a worked example.
-pub trait BackoffPolicy {
-    /// Short static name used in sweep labels and cache keys.
-    fn name(&self) -> &'static str;
-
-    /// The window after a failed attempt (CTS or ACK timeout), given the
-    /// window `cw` the attempt was drawn from.
-    fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32;
-
-    /// The window after the current frame completes — `success` is true
-    /// for a delivered frame, false for one dropped at the retry limit.
-    fn on_complete(&mut self, cw: u32, success: bool, timing: &MacTiming) -> u32;
-}
-
 /// Binary exponential backoff — the 802.11 default and the paper's
 /// Table 1 ladder: double toward CWmax on failure, reset to CWmin on
 /// completion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Beb;
 
-impl BackoffPolicy for Beb {
-    fn name(&self) -> &'static str {
-        "beb"
-    }
-
-    fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
+impl Beb {
+    /// The window after a failed attempt (CTS or ACK timeout), given the
+    /// window `cw` the attempt was drawn from: doubled, capped at CWmax.
+    pub fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
         (cw * 2).min(timing.cw_max)
     }
 
-    fn on_complete(&mut self, _cw: u32, _success: bool, timing: &MacTiming) -> u32 {
+    /// The window after the current frame completes — `success` is true
+    /// for a delivered frame, false for one dropped at the retry limit:
+    /// CWmin either way.
+    pub fn on_complete(&mut self, _cw: u32, _success: bool, timing: &MacTiming) -> u32 {
         timing.cw_min
     }
 }
@@ -110,18 +93,14 @@ impl FixedCw {
     pub fn new(cw: u32) -> FixedCw {
         FixedCw { cw: cw.max(1) }
     }
-}
 
-impl BackoffPolicy for FixedCw {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn on_failure(&mut self, _cw: u32, _timing: &MacTiming) -> u32 {
+    /// The window after a failed attempt: unchanged.
+    pub fn on_failure(&mut self, _cw: u32, _timing: &MacTiming) -> u32 {
         self.cw
     }
 
-    fn on_complete(&mut self, _cw: u32, _success: bool, _timing: &MacTiming) -> u32 {
+    /// The window after the current frame completes: unchanged.
+    pub fn on_complete(&mut self, _cw: u32, _success: bool, _timing: &MacTiming) -> u32 {
         self.cw
     }
 }
@@ -197,18 +176,15 @@ impl CtAdapt {
         }
         self.cw.round() as u32
     }
-}
 
-impl BackoffPolicy for CtAdapt {
-    fn name(&self) -> &'static str {
-        "ctadapt"
-    }
-
-    fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
+    /// The window after a failed attempt: one observed failure.
+    pub fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
         self.observe(cw, true, timing)
     }
 
-    fn on_complete(&mut self, cw: u32, success: bool, timing: &MacTiming) -> u32 {
+    /// The window after the current frame completes: a delivered frame
+    /// is an observed success, a dropped one a failure.
+    pub fn on_complete(&mut self, cw: u32, success: bool, timing: &MacTiming) -> u32 {
         self.observe(cw, !success, timing)
     }
 }
@@ -219,7 +195,7 @@ impl BackoffPolicy for CtAdapt {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum BackoffConfig {
     /// Binary exponential backoff (the default; byte-identical to the
-    /// pre-trait hard-wired ladder).
+    /// hard-wired ladder the policies were extracted from).
     #[default]
     Beb,
     /// A constant window of the given width, slots.
@@ -237,15 +213,6 @@ impl BackoffConfig {
             BackoffConfig::CtAdapt(cfg) => AnyPolicy::CtAdapt(CtAdapt::new(cfg)),
         }
     }
-
-    /// The policy's short name (matches [`BackoffPolicy::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackoffConfig::Beb => "beb",
-            BackoffConfig::FixedCw(_) => "fixed",
-            BackoffConfig::CtAdapt(_) => "ctadapt",
-        }
-    }
 }
 
 /// Enum dispatcher over the shipped policies, so `DcfMac` (and the
@@ -261,16 +228,10 @@ pub enum AnyPolicy {
     CtAdapt(CtAdapt),
 }
 
-impl BackoffPolicy for AnyPolicy {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyPolicy::Beb(p) => p.name(),
-            AnyPolicy::FixedCw(p) => p.name(),
-            AnyPolicy::CtAdapt(p) => p.name(),
-        }
-    }
-
-    fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
+impl AnyPolicy {
+    /// The window after a failed attempt (CTS or ACK timeout), given the
+    /// window `cw` the attempt was drawn from.
+    pub fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
         match self {
             AnyPolicy::Beb(p) => p.on_failure(cw, timing),
             AnyPolicy::FixedCw(p) => p.on_failure(cw, timing),
@@ -278,7 +239,9 @@ impl BackoffPolicy for AnyPolicy {
         }
     }
 
-    fn on_complete(&mut self, cw: u32, success: bool, timing: &MacTiming) -> u32 {
+    /// The window after the current frame completes — `success` is true
+    /// for a delivered frame, false for one dropped at the retry limit.
+    pub fn on_complete(&mut self, cw: u32, success: bool, timing: &MacTiming) -> u32 {
         match self {
             AnyPolicy::Beb(p) => p.on_complete(cw, success, timing),
             AnyPolicy::FixedCw(p) => p.on_complete(cw, success, timing),
@@ -352,10 +315,15 @@ mod tests {
     #[test]
     fn selector_instantiates_matching_state() {
         assert_eq!(BackoffConfig::default(), BackoffConfig::Beb);
-        assert_eq!(BackoffConfig::Beb.instantiate().name(), "beb");
-        assert_eq!(BackoffConfig::FixedCw(8).instantiate().name(), "fixed");
-        let ct = BackoffConfig::CtAdapt(CtAdaptConfig::default());
-        assert_eq!(ct.instantiate().name(), "ctadapt");
-        assert_eq!(ct.name(), "ctadapt");
+        assert_eq!(BackoffConfig::Beb.instantiate(), AnyPolicy::Beb(Beb));
+        assert_eq!(
+            BackoffConfig::FixedCw(8).instantiate(),
+            AnyPolicy::FixedCw(FixedCw::new(8))
+        );
+        let cfg = CtAdaptConfig::default();
+        assert_eq!(
+            BackoffConfig::CtAdapt(cfg).instantiate(),
+            AnyPolicy::CtAdapt(CtAdapt::new(cfg))
+        );
     }
 }

@@ -20,8 +20,8 @@ use dot11_phy::NodeId;
 /// just the adjacent station in that direction, so [`StaticRoutes::chain`]
 /// records only `n` and [`StaticRoutes::next_hop`] computes the hop in
 /// O(1). That keeps building an `n = 4096` chain scenario O(1) instead of
-/// ~16.8 million hash inserts, while manual [`StaticRoutes::add`] entries
-/// still override the closed form pair-by-pair.
+/// ~16.8 million hash inserts. Manual [`StaticRoutes::add`] entries take
+/// precedence over the closed form.
 ///
 /// # Example
 ///
@@ -41,9 +41,6 @@ pub struct StaticRoutes {
     /// Closed-form chain overlay: stations `0..chain_n` route one hop at
     /// a time toward the destination (0 = no chain).
     chain_n: u32,
-    /// Manual entries that override a pair the chain overlay also covers
-    /// (counted so [`StaticRoutes::len`] does not double-count them).
-    shadowed: usize,
 }
 
 impl StaticRoutes {
@@ -59,7 +56,6 @@ impl StaticRoutes {
         StaticRoutes {
             hops: HashMap::new(),
             chain_n: n,
-            shadowed: 0,
         }
     }
 
@@ -74,12 +70,6 @@ impl StaticRoutes {
         }
     }
 
-    /// Number of `(at, dst)` pairs the chain overlay covers.
-    fn chain_pair_count(&self) -> usize {
-        let n = self.chain_n as usize;
-        n * n.saturating_sub(1)
-    }
-
     /// Adds (or replaces) the route `at → dst via next`.
     ///
     /// # Panics
@@ -88,21 +78,7 @@ impl StaticRoutes {
     pub fn add(&mut self, at: NodeId, dst: NodeId, next: NodeId) -> &mut StaticRoutes {
         assert_ne!(at, dst, "route to self");
         assert_ne!(next, at, "route via self");
-        match self.chain_hop(at, dst) {
-            // Re-stating what the chain overlay already implies drops any
-            // manual override, so the last `add` wins exactly as it did
-            // when every pair was a map entry.
-            Some(implied) if implied == next => {
-                if self.hops.remove(&(at, dst)).is_some() {
-                    self.shadowed -= 1;
-                }
-            }
-            implied => {
-                if self.hops.insert((at, dst), next).is_none() && implied.is_some() {
-                    self.shadowed += 1;
-                }
-            }
-        }
+        self.hops.insert((at, dst), next);
         self
     }
 
@@ -116,17 +92,6 @@ impl StaticRoutes {
             }
         }
         self.chain_hop(at, dst)
-    }
-
-    /// Number of configured `(at, dst)` pairs (chain-overlay pairs
-    /// included, each counted once even when manually overridden).
-    pub fn len(&self) -> usize {
-        self.chain_pair_count() + self.hops.len() - self.shadowed
-    }
-
-    /// True if no routes are configured.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -151,7 +116,7 @@ mod tests {
 
     /// The closed-form chain must be indistinguishable from the per-pair
     /// table the old `chain()` built with n·(n−1) `add` calls — same
-    /// hops, same misses outside the chain, same `len`.
+    /// hops, same misses outside the chain.
     #[test]
     fn chain_closed_form_matches_per_pair_table() {
         let n = 7u32;
@@ -166,7 +131,6 @@ mod tests {
                 table.add(NodeId(at), NodeId(dst), NodeId(via));
             }
         }
-        assert_eq!(closed.len(), table.len());
         for at in 0..n + 2 {
             for dst in 0..n + 2 {
                 assert_eq!(
@@ -182,36 +146,23 @@ mod tests {
     fn unknown_pairs_mean_direct_delivery() {
         let r = StaticRoutes::new();
         assert_eq!(r.next_hop(NodeId(0), NodeId(9)), None);
-        assert!(r.is_empty());
         // Off-chain ids fall back to direct delivery too.
         let c = StaticRoutes::chain(3);
         assert_eq!(c.next_hop(NodeId(3), NodeId(0)), None);
         assert_eq!(c.next_hop(NodeId(0), NodeId(3)), None);
-        assert!(!c.is_empty());
     }
 
     #[test]
     fn manual_routes_override() {
         let mut r = StaticRoutes::chain(3);
-        let before = r.len();
-        r.add(NodeId(0), NodeId(2), NodeId(1)); // same as chain
-        assert_eq!(r.len(), before);
-        assert_eq!(r.next_hop(NodeId(0), NodeId(2)), Some(NodeId(1)));
-        // A genuinely different next hop replaces the chain's, without
-        // changing the number of configured pairs.
+        // A different next hop replaces the chain's.
         r.add(NodeId(0), NodeId(2), NodeId(2));
-        assert_eq!(r.len(), before);
         assert_eq!(r.next_hop(NodeId(0), NodeId(2)), Some(NodeId(2)));
-        // Re-adding the override is idempotent.
-        r.add(NodeId(0), NodeId(2), NodeId(2));
-        assert_eq!(r.len(), before);
-        // Pairs outside the chain extend the table as before.
+        // Pairs outside the chain extend the table.
         r.add(NodeId(0), NodeId(7), NodeId(1));
-        assert_eq!(r.len(), before + 1);
-        // Restoring the chain's own hop discards the override (last add
-        // wins), leaving the pair count intact.
+        assert_eq!(r.next_hop(NodeId(0), NodeId(7)), Some(NodeId(1)));
+        // The last add wins.
         r.add(NodeId(0), NodeId(2), NodeId(1));
-        assert_eq!(r.len(), before + 1);
         assert_eq!(r.next_hop(NodeId(0), NodeId(2)), Some(NodeId(1)));
     }
 

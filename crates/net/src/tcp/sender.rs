@@ -127,11 +127,6 @@ impl<S: TraceSink> TcpSender<S> {
         self.snd_nxt - self.snd_una
     }
 
-    /// Highest cumulative ACK received.
-    pub fn acked_bytes(&self) -> u64 {
-        self.snd_una
-    }
-
     /// True while loss recovery is in progress.
     pub fn in_recovery(&self) -> bool {
         self.in_recovery

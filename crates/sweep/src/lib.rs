@@ -20,7 +20,9 @@
 //!   [`Summary`](dot11_adhoc::Summary) statistics (mean/median/CI95 over
 //!   seeds), with sweep-level engine instrumentation (aggregate
 //!   sim-vs-wall speedup, per-worker utilization) kept in a separate,
-//!   explicitly non-deterministic section.
+//!   explicitly non-deterministic section;
+//! * [`SCENARIO_GROUPS`] — the named scenario groups the `repro sweep`
+//!   CLI accepts, each expanding to its recipes.
 //!
 //! # Example
 //!
@@ -49,12 +51,14 @@
 mod cache;
 pub mod json;
 mod progress;
+mod registry;
 mod report;
 mod runner;
 mod spec;
 
 pub use cache::RunCache;
 pub use progress::ProgressSink;
+pub use registry::{scenario_group, SCENARIO_GROUPS};
 pub use report::{CellMetrics, CellOutcome, GroupReport, SweepEngine, SweepReport, WorkerStats};
 pub use runner::{run_sweep, SweepOptions};
 pub use spec::{CellKey, CellSpec, MacAxis, RunParams, SweepScenario, SweepSpec};

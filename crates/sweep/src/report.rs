@@ -78,7 +78,7 @@ impl CellMetrics {
                 .map(|n| n.airtime.tx_fraction())
                 .sum::<f64>()
                 / stations,
-            events: report.engine.events,
+            events: report.events,
             queue_high_water: report.engine.queue_high_water as u64,
             sim_elapsed_ns: report.engine.sim_elapsed.as_nanos(),
         }
@@ -336,6 +336,24 @@ impl SweepReport {
         groups
     }
 
+    /// Groups in which some seed's flows all measured 0 kb/s, as
+    /// `(label, silent seeds, seeds)` in group order: a workload that
+    /// delivered nothing at those seeds, whatever its fairness reads.
+    pub fn silent_groups(&self) -> Vec<(&str, usize, usize)> {
+        self.groups
+            .iter()
+            .filter_map(|g| {
+                let silent = self
+                    .cells
+                    .iter()
+                    .filter(|c| c.spec.group_label() == g.label)
+                    .filter(|c| c.metrics.flows_kbps.iter().all(|&k| k == 0.0))
+                    .count();
+                (silent > 0).then_some((g.label.as_str(), silent, g.seeds.len()))
+            })
+            .collect()
+    }
+
     /// Serializes only the worker-count-independent layer: cells (spec,
     /// key, metrics) and groups. Byte-identical for any `jobs` value and
     /// any cache state.
@@ -425,6 +443,39 @@ mod tests {
         assert!((groups[0].total_kbps.mean - 550.0).abs() < 1e-12);
         assert!((groups[0].imbalance().expect("two flows") - 400.0 / 150.0).abs() < 1e-12);
         assert_eq!(groups[1].seeds, vec![1]);
+    }
+
+    #[test]
+    fn silent_groups_count_seeds_whose_flows_all_read_zero() {
+        let figs = SweepScenario::figure(7);
+        let cells = vec![
+            outcome(figs[0], 1, vec![0.0, 0.0]),
+            outcome(figs[0], 2, vec![0.0, 5.0]),
+            outcome(figs[1], 1, vec![50.0, 60.0]),
+            outcome(figs[2], 1, vec![0.0, 0.0]),
+            outcome(figs[2], 2, vec![0.0, 0.0]),
+        ];
+        let groups = SweepReport::group(&cells);
+        let report = SweepReport {
+            cells,
+            groups,
+            engine: SweepEngine {
+                jobs: 1,
+                wall: Duration::ZERO,
+                simulated: 5,
+                cached: 0,
+                sim_elapsed: SimDuration::ZERO,
+                events: 0,
+                workers: Vec::new(),
+            },
+        };
+        assert_eq!(
+            report.silent_groups(),
+            vec![
+                ("four_station/asym11/11000k/udp/basic", 1, 2),
+                ("four_station/asym11/11000k/tcp/basic", 2, 2),
+            ]
+        );
     }
 
     #[test]

@@ -152,10 +152,10 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> std::io::Result<Sweep
                             let report = cell.build().run();
                             let metrics = CellMetrics::from_report(&report);
                             if let Some(p) = progress {
-                                p.run_finish(w, &key, report.engine.events, report.engine.wall);
+                                p.run_finish(w, &key, report.events, report.engine.wall);
                             }
                             stats.cells += 1;
-                            stats.events += report.engine.events;
+                            stats.events += report.events;
                             stats.busy += report.engine.wall;
                             if let Some(cache) = cache {
                                 if let Err(e) = cache.store(&cell, &metrics, w) {
@@ -224,21 +224,14 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> std::io::Result<Sweep
 mod tests {
     use super::*;
     use crate::spec::{RunParams, SweepScenario};
-    use dot11_adhoc::analytic::AccessScheme;
-    use dot11_adhoc::experiments::four_station::SessionTransport;
-    use dot11_phy::PhyRate;
 
+    /// The Figure 12 UDP/basic cell at the given seeds.
     fn tiny_spec(seeds: std::ops::RangeInclusive<u64>) -> SweepSpec {
         SweepSpec::new(RunParams {
             duration: SimDuration::from_millis(300),
             warmup: SimDuration::from_millis(100),
         })
-        .scenario(SweepScenario::TwoStation {
-            rate: PhyRate::R11,
-            distance_m: 10.0,
-            transport: SessionTransport::Udp,
-            scheme: AccessScheme::Basic,
-        })
+        .scenario(SweepScenario::figure(12)[0])
         .seeds(seeds)
     }
 

@@ -32,17 +32,6 @@ pub enum SweepScenario {
         /// Access scheme.
         scheme: AccessScheme,
     },
-    /// A single saturated link: two stations `distance_m` apart.
-    TwoStation {
-        /// NIC data rate.
-        rate: PhyRate,
-        /// Station separation, meters.
-        distance_m: f64,
-        /// Transport of the single flow.
-        transport: SessionTransport,
-        /// Access scheme.
-        scheme: AccessScheme,
-    },
     /// Large topology: an `n`-station chain with `spacing_m` pitch, chain
     /// routing, dual-slope path loss, and one saturated UDP flow end to
     /// end (PR 5's scaling family).
@@ -155,18 +144,6 @@ impl SweepScenario {
                 transport_tag(transport),
                 scheme_tag(scheme)
             ),
-            SweepScenario::TwoStation {
-                rate,
-                distance_m,
-                transport,
-                scheme,
-            } => format!(
-                "two_station/{}m/{}k/{}/{}",
-                distance_m,
-                rate_kbps(rate),
-                transport_tag(transport),
-                scheme_tag(scheme)
-            ),
             SweepScenario::Chain { n, spacing_m, rate } => {
                 format!("chain/{}x{}m/{}k/udp", n, spacing_m, rate_kbps(rate))
             }
@@ -235,18 +212,6 @@ impl SweepScenario {
                 h.write_str("four_station");
                 h.write_u32(rate_kbps(rate));
                 h.write_str(layout_tag(layout));
-                h.write_str(transport_tag(transport));
-                h.write_str(scheme_tag(scheme));
-            }
-            SweepScenario::TwoStation {
-                rate,
-                distance_m,
-                transport,
-                scheme,
-            } => {
-                h.write_str("two_station");
-                h.write_u32(rate_kbps(rate));
-                h.write_f64(distance_m);
                 h.write_str(transport_tag(transport));
                 h.write_str(scheme_tag(scheme));
             }
@@ -324,28 +289,6 @@ impl SweepScenario {
                     warmup: params.warmup,
                 };
                 four_station::scenario(cfg, rate, layout, transport, scheme)
-            }
-            SweepScenario::TwoStation {
-                rate,
-                distance_m,
-                transport,
-                scheme,
-            } => {
-                let traffic = match transport {
-                    SessionTransport::Udp => Traffic::SaturatedUdp {
-                        payload_bytes: 512,
-                        backlog: 10,
-                    },
-                    SessionTransport::Tcp => Traffic::BulkTcp { mss: 512 },
-                };
-                ScenarioBuilder::new(rate)
-                    .line(&[0.0, distance_m])
-                    .rts(scheme == AccessScheme::RtsCts)
-                    .seed(seed)
-                    .duration(params.duration)
-                    .warmup(params.warmup)
-                    .flow(0, 1, traffic)
-                    .build()
             }
             SweepScenario::Chain { n, spacing_m, rate } => ScenarioBuilder::new(rate)
                 .chain(n, spacing_m)
@@ -453,32 +396,24 @@ impl SweepScenario {
         }
     }
 
-    /// The four cells (both transports × both schemes) of one paper
-    /// four-station figure: 7, 9, 11 or 12.
+    /// The four cells of one paper four-station figure (7, 9, 11 or
+    /// 12), read from [`four_station::FIGURES`] in
+    /// [`four_station::CELLS`] order: both transports × both schemes.
     ///
     /// # Panics
     ///
     /// Panics on a figure number the paper does not have.
     pub fn figure(figure: u32) -> Vec<SweepScenario> {
-        let (rate, layout) = match figure {
-            7 => (PhyRate::R11, FourStationLayout::AsymmetricAt11),
-            9 => (PhyRate::R2, FourStationLayout::AsymmetricAt2),
-            11 => (PhyRate::R11, FourStationLayout::Symmetric),
-            12 => (PhyRate::R2, FourStationLayout::Symmetric),
-            other => panic!("no four-station figure {other} in the paper (7, 9, 11, 12)"),
-        };
-        let mut v = Vec::with_capacity(4);
-        for transport in [SessionTransport::Udp, SessionTransport::Tcp] {
-            for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
-                v.push(SweepScenario::FourStation {
-                    rate,
-                    layout,
-                    transport,
-                    scheme,
-                });
-            }
-        }
-        v
+        let f = four_station::figure(figure);
+        four_station::CELLS
+            .into_iter()
+            .map(|(transport, scheme)| SweepScenario::FourStation {
+                rate: f.rate,
+                layout: f.layout,
+                transport,
+                scheme,
+            })
+            .collect()
     }
 
     /// The canonical mobile cell: 64 stations random-waypoint walking at
@@ -927,12 +862,7 @@ mod tests {
     #[test]
     fn mac_axis_applies_to_a_built_scenario() {
         let cell = CellSpec {
-            scenario: SweepScenario::TwoStation {
-                rate: PhyRate::R11,
-                distance_m: 10.0,
-                transport: SessionTransport::Udp,
-                scheme: AccessScheme::Basic,
-            },
+            scenario: SweepScenario::figure(12)[0],
             mac: MacAxis {
                 policy: BackoffConfig::FixedCw(16),
                 cw_min: 16,
@@ -950,7 +880,7 @@ mod tests {
         // The tuned scenario still runs, and the axis reached the MAC.
         let report = cell.build().run();
         assert!(report.flow(dot11_net::FlowId(0)).throughput_kbps > 100.0);
-        let mut mac = MacConfig::new(PhyRate::R11);
+        let mut mac = MacConfig::new(PhyRate::R2);
         cell.mac.apply(&mut mac);
         assert_eq!(mac.backoff, BackoffConfig::FixedCw(16));
         assert_eq!(mac.timing.cw_min, 16);
@@ -977,7 +907,7 @@ mod tests {
             },
         };
         let report = cell.build().run();
-        assert!(report.engine.events > 0);
+        assert!(report.events > 0);
     }
 
     #[test]
@@ -997,26 +927,6 @@ mod tests {
     #[should_panic(expected = "no four-station figure")]
     fn unknown_figure_panics() {
         SweepScenario::figure(8);
-    }
-
-    #[test]
-    fn built_scenarios_run() {
-        let cell = CellSpec {
-            scenario: SweepScenario::TwoStation {
-                rate: PhyRate::R11,
-                distance_m: 10.0,
-                transport: SessionTransport::Udp,
-                scheme: AccessScheme::Basic,
-            },
-            mac: MacAxis::table1(),
-            seed: 5,
-            params: RunParams {
-                duration: SimDuration::from_millis(400),
-                warmup: SimDuration::from_millis(100),
-            },
-        };
-        let report = cell.build().run();
-        assert!(report.flow(dot11_net::FlowId(0)).throughput_kbps > 100.0);
     }
 
     #[test]

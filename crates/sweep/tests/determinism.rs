@@ -11,8 +11,6 @@
 //!    simulates zero worlds and still reproduces the same report.
 
 use desim::SimDuration;
-use dot11_adhoc::analytic::AccessScheme;
-use dot11_adhoc::experiments::four_station::SessionTransport;
 use dot11_mac::BackoffConfig;
 use dot11_phy::PhyRate;
 use dot11_sweep::{
@@ -47,21 +45,6 @@ fn cell_keys_are_golden() {
             "stable hash of {label} moved — existing caches are invalidated"
         );
     }
-    let two = CellSpec {
-        scenario: SweepScenario::TwoStation {
-            rate: PhyRate::R2,
-            distance_m: 40.0,
-            transport: SessionTransport::Tcp,
-            scheme: AccessScheme::RtsCts,
-        },
-        mac: MacAxis::table1(),
-        seed: 7,
-        params: RunParams {
-            duration: SimDuration::from_secs(2),
-            warmup: SimDuration::from_millis(250),
-        },
-    };
-    assert_eq!(two.key().to_string(), "1040f6d12c452992");
 }
 
 /// The PR 7 additions hash to stable keys as well: the hidden-terminal

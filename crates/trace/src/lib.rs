@@ -10,7 +10,6 @@
 //!
 //! * [`NullSink`] — the default; `ENABLED = false` lets every emission site
 //!   compile away, so an untraced simulation pays nothing.
-//! * [`RingBufferSink`] — bounded in-memory history, for tests and debugging.
 //! * [`JsonlSink`] — one JSON object per line, hand-rolled serialization
 //!   (no serde), byte-identical across same-seed runs.
 //! * [`IntervalMetricsSink`] — aggregates per-flow throughput and per-node
@@ -36,4 +35,4 @@ mod sink;
 pub use jsonl::JsonlSink;
 pub use metrics::{FlowWindow, IntervalMetricsSink, IntervalRow, NodeWindow};
 pub use record::{FrameClass, RxErrorCause, TraceRecord};
-pub use sink::{NullSink, RingBufferSink, SharedSink, TraceSink};
+pub use sink::{NullSink, SharedSink, TraceSink};

@@ -1,7 +1,6 @@
-//! The sink trait and the in-memory sinks.
+//! The sink trait, the null sink and the shared handle.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use desim::SimTime;
@@ -68,11 +67,6 @@ impl<S> SharedSink<S> {
             .map(RefCell::into_inner)
             .unwrap_or_else(|_| panic!("SharedSink::take with live clones"))
     }
-
-    /// Runs `f` with a borrow of the inner sink (for inspection mid-run).
-    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.inner.borrow())
-    }
 }
 
 impl<S> Clone for SharedSink<S> {
@@ -96,69 +90,24 @@ impl<S: TraceSink> TraceSink for SharedSink<S> {
     }
 }
 
-/// Bounded in-memory history: keeps the **most recent** `capacity` records,
-/// evicting the oldest. The workhorse for unit tests and post-mortem
-/// debugging of short windows.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: VecDeque<(SimTime, TraceRecord)>,
-    /// Total records ever offered, including evicted ones.
-    seen: u64,
-}
-
-impl RingBufferSink {
-    /// Creates a sink holding at most `capacity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingBufferSink {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &(SimTime, TraceRecord)> {
-        self.buf.iter()
-    }
-
-    /// Number of records currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total records ever offered, including those evicted since.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, at: SimTime, rec: &TraceRecord) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back((at, *rec));
-        self.seen += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn rec(node: u32) -> TraceRecord {
         TraceRecord::Collision { node }
+    }
+
+    /// A test sink that keeps the node of every collision it sees.
+    #[derive(Default)]
+    struct Collisions(Vec<u32>);
+
+    impl TraceSink for Collisions {
+        fn record(&mut self, _at: SimTime, rec: &TraceRecord) {
+            if let TraceRecord::Collision { node } = rec {
+                self.0.push(*node);
+            }
+        }
     }
 
     #[test]
@@ -169,55 +118,21 @@ mod tests {
             S::ENABLED
         }
         assert!(!enabled(&NullSink));
-        assert!(enabled(&RingBufferSink::new(1)));
+        assert!(enabled(&Collisions::default()));
+        assert!(enabled(&SharedSink::new(Collisions::default())));
         // And recording through it is still safe if called unconditionally.
         NullSink.record(SimTime::ZERO, &rec(0));
     }
 
     #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let mut s = RingBufferSink::new(3);
-        for i in 0..5 {
-            s.record(SimTime::from_micros(i), &rec(i as u32));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.total_seen(), 5);
-        let nodes: Vec<u32> = s
-            .records()
-            .map(|(_, r)| match r {
-                TraceRecord::Collision { node } => *node,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(nodes, vec![2, 3, 4], "oldest two evicted");
-    }
-
-    #[test]
-    fn ring_buffer_under_capacity_keeps_all() {
-        let mut s = RingBufferSink::new(8);
-        s.record(SimTime::ZERO, &rec(1));
-        s.record(SimTime::from_micros(1), &rec(2));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.total_seen(), 2);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        RingBufferSink::new(0);
-    }
-
-    #[test]
     fn shared_sink_routes_to_one_buffer() {
-        let shared = SharedSink::new(RingBufferSink::new(4));
+        let shared = SharedSink::new(Collisions::default());
         let mut a = shared.clone();
         let mut b = shared.clone();
         a.record(SimTime::ZERO, &rec(0));
         b.record(SimTime::from_micros(1), &rec(1));
         drop(a);
         drop(b);
-        let inner = shared.take();
-        assert_eq!(inner.len(), 2);
+        assert_eq!(shared.take().0, vec![0, 1]);
     }
 }

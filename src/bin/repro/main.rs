@@ -45,8 +45,7 @@ use dot11_adhoc::analytic::{
     overhead_breakdown, table2, AccessScheme, Dot11bParams, TransportKind,
 };
 use dot11_adhoc::experiments::four_station::{
-    self, figure11, figure12, figure7, figure9, FourStationCell, FourStationLayout,
-    SessionTransport,
+    Figure, FourStationCell, FourStationLayout, SessionTransport, CELLS, FIGURES,
 };
 use dot11_adhoc::experiments::{figure2, figure3, figure4, table3, ExpConfig};
 use dot11_adhoc::range::estimate_crossing;
@@ -237,34 +236,28 @@ fn main() {
     print_figure3(cfg);
     print_figure4(cfg);
     print_table3(cfg);
-    if opts.json.is_some() || opts.mobility.is_some() {
-        // Instrumented path: rerun each four-station cell with an
-        // interval-metrics sink so the JSON report carries the
-        // throughput-vs-time series next to the headline numbers.
-        // `--mobility` rides the same path so its churn counters land in
-        // the JSON `engine` objects.
-        if let Some((spec, _)) = &opts.mobility {
-            println!("Mobility: {spec} (four-station figures run with stations in motion)\n");
-        }
-        let mobility = opts.mobility.as_ref().map(|(_, m)| m);
-        let figures = run_instrumented_figures(cfg, opts.metrics, mobility);
-        for f in &figures {
-            print_four_station(f.title, f.cells.iter().map(|c| c.cell).collect());
-        }
-        if let Some(path) = opts.json.as_deref() {
-            match std::fs::write(path, report_json(cfg, opts.metrics, &figures)) {
-                Ok(()) => println!("JSON report written to {path}"),
-                Err(e) => {
-                    eprintln!("repro: writing {path}: {e}");
-                    std::process::exit(1);
-                }
+    if let Some((spec, _)) = &opts.mobility {
+        println!("Mobility: {spec} (four-station figures run with stations in motion)\n");
+    }
+    let mobility = opts.mobility.as_ref().map(|(_, m)| m);
+    // `--json` instruments every cell: an interval-metrics sink for the
+    // throughput-vs-time series and an armed profiler for the `engine`
+    // objects. Both are physics-invisible, so stdout is the same either way.
+    let interval = opts.json.is_some().then_some(opts.metrics);
+    let mut figures = Vec::with_capacity(FIGURES.len());
+    for figure in FIGURES {
+        let run = run_figure(cfg, figure, interval, mobility);
+        print_four_station(&run);
+        figures.push(run);
+    }
+    if let Some(path) = opts.json.as_deref() {
+        match std::fs::write(path, report_json(cfg, opts.metrics, &figures)) {
+            Ok(()) => println!("JSON report written to {path}"),
+            Err(e) => {
+                eprintln!("repro: writing {path}: {e}");
+                std::process::exit(1);
             }
         }
-    } else {
-        print_four_station(FIG7_TITLE, figure7(cfg));
-        print_four_station(FIG9_TITLE, figure9(cfg));
-        print_four_station(FIG11_TITLE, figure11(cfg));
-        print_four_station(FIG12_TITLE, figure12(cfg));
     }
     if let Some(path) = &opts.trace {
         match write_trace(cfg, path) {
@@ -290,15 +283,23 @@ struct SweepArgs {
     params: dot11_sweep::RunParams,
 }
 
+/// The `--scenarios` names, comma-separated, from the sweep registry.
+fn scenario_names() -> String {
+    let names: Vec<&str> = dot11_sweep::SCENARIO_GROUPS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    names.join(",")
+}
+
 fn sweep_usage(msg: &str) -> ! {
     eprintln!("repro sweep: {msg}");
     eprintln!(
-        "usage: repro sweep \
-         [--scenarios fig7,fig9,fig11,fig12,chain16,chain64,grid16,disk20,disk4096,hidden3,\
-mobile-disk64[-slow|-fast]] \
+        "usage: repro sweep [--scenarios {}] \
          [--mac-grid key=v1,v2,...] [--seeds A..B|N] [--jobs N] \
          [--cache-dir <dir>] [--json <path>] [--progress <path|->] [--quick] \
-         [--duration <interval>] [--warmup <interval>]"
+         [--duration <interval>] [--warmup <interval>]",
+        scenario_names()
     );
     eprintln!(
         "  --mac-grid keys: policy (beb|fixedN|ctadapt), cwmin, cwmax, retry, longretry, \
@@ -375,60 +376,6 @@ fn parse_seed_range(s: &str) -> Option<std::ops::RangeInclusive<u64>> {
     (!range.is_empty()).then_some(range)
 }
 
-fn parse_scenario_group(name: &str) -> Option<Vec<dot11_sweep::SweepScenario>> {
-    use dot11_sweep::SweepScenario;
-    match name {
-        "fig7" => Some(SweepScenario::figure(7)),
-        "fig9" => Some(SweepScenario::figure(9)),
-        "fig11" => Some(SweepScenario::figure(11)),
-        "fig12" => Some(SweepScenario::figure(12)),
-        // Large-topology families (PR 5): multi-hop chains/grids at 80 m
-        // pitch (a reliable 2 Mb/s hop per the calibrated Table 3 ranges)
-        // and a 20-station random field.
-        "chain16" => Some(vec![SweepScenario::Chain {
-            n: 16,
-            spacing_m: 80.0,
-            rate: PhyRate::R2,
-        }]),
-        "chain64" => Some(vec![SweepScenario::Chain {
-            n: 64,
-            spacing_m: 80.0,
-            rate: PhyRate::R2,
-        }]),
-        "grid16" => Some(vec![SweepScenario::Grid {
-            rows: 4,
-            cols: 4,
-            spacing_m: 80.0,
-            rate: PhyRate::R2,
-        }]),
-        "disk20" => Some(vec![SweepScenario::RandomDisk {
-            n: 20,
-            radius_m: 120.0,
-            topo_seed: 7,
-            rate: PhyRate::R2,
-        }]),
-        // Production-scale disk (PR 8): 4096 stations on a 12 km disk.
-        // Audible-set culling plus the flat per-event hot path keep a
-        // sweep over it tractable; CI smoke-runs it at --quick duration.
-        "disk4096" => Some(vec![SweepScenario::RandomDisk {
-            n: 4096,
-            radius_m: 12_000.0,
-            topo_seed: 7,
-            rate: PhyRate::R2,
-        }]),
-        // The hidden-terminal triple (PR 7): basic access collapses,
-        // RTS/CTS recovers.
-        "hidden3" => Some(SweepScenario::hidden3()),
-        // The mobile disk (PR 10): 64 stations random-waypoint walking on
-        // a 120 m disk (the calibrated 2 Mb/s data range), epoch-committed link
-        // state. The speed ladder makes throughput-vs-node-speed a one-flag sweep.
-        "mobile-disk64" => Some(vec![SweepScenario::mobile_disk64(20.0)]),
-        "mobile-disk64-slow" => Some(vec![SweepScenario::mobile_disk64(5.0)]),
-        "mobile-disk64-fast" => Some(vec![SweepScenario::mobile_disk64(50.0)]),
-        _ => None,
-    }
-}
-
 fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
     let mut out = SweepArgs {
         scenarios: Vec::new(),
@@ -451,11 +398,10 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
                     .next()
                     .unwrap_or_else(|| sweep_usage("--scenarios needs a list"));
                 for name in v.split(',') {
-                    let group = parse_scenario_group(name).unwrap_or_else(|| {
+                    let group = dot11_sweep::scenario_group(name).unwrap_or_else(|| {
                         sweep_usage(&format!(
-                            "unknown scenario {name:?} (try fig7, fig9, fig11, fig12, \
-                             chain16, chain64, grid16, disk20, disk4096, hidden3, \
-                             mobile-disk64, mobile-disk64-slow, mobile-disk64-fast)"
+                            "unknown scenario {name:?} (try {})",
+                            scenario_names()
                         ))
                     });
                     out.scenarios.push((name.to_owned(), group));
@@ -542,8 +488,10 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
     }
     if out.scenarios.is_empty() {
         for name in ["fig7", "fig9", "fig11", "fig12"] {
-            out.scenarios
-                .push((name.to_owned(), parse_scenario_group(name).expect("known")));
+            out.scenarios.push((
+                name.to_owned(),
+                dot11_sweep::scenario_group(name).expect("registered"),
+            ));
         }
     }
     out
@@ -606,6 +554,15 @@ fn sweep_main(args: Vec<String>) {
         }
     };
     print_sweep_report(&report);
+    // A group that delivered nothing reads `0 ± 0` kb/s with fairness
+    // 1.00 in the table; say so on stderr, leaving stdout unchanged.
+    // Each line is formatted first so it reaches stderr in one write.
+    for (label, silent, seeds) in report.silent_groups() {
+        let line = format!(
+            "repro sweep: warning: {label}: every flow measured 0 kb/s in {silent} of {seeds} seeds\n"
+        );
+        eprint!("{line}");
+    }
     if let Some(path) = &args.json {
         match std::fs::write(path, report.to_json()) {
             Ok(()) => println!("JSON sweep report written to {path}"),
@@ -676,79 +633,52 @@ fn print_sweep_report(report: &dot11_sweep::SweepReport) {
     }
 }
 
-const FIG7_TITLE: &str = "FIGURE 7 — asymmetric scenario, 11 Mb/s (d = 25/82.5/25 m)";
-const FIG9_TITLE: &str = "FIGURE 9 — asymmetric scenario, 2 Mb/s (d = 25/92.5/25 m)";
-const FIG11_TITLE: &str = "FIGURE 11 — symmetric scenario, 11 Mb/s (d = 25/62.5/25 m)";
-const FIG12_TITLE: &str = "FIGURE 12 — symmetric scenario, 2 Mb/s (d = 25/62.5/25 m)";
-
-struct InstrumentedCell {
+struct CellRun {
     cell: FourStationCell,
     engine: EngineStats,
+    /// The per-interval series (empty unless the run was instrumented).
     intervals: Vec<IntervalRow>,
 }
 
-struct InstrumentedFigure {
-    figure: u32,
-    title: &'static str,
-    rate: PhyRate,
-    cells: Vec<InstrumentedCell>,
+struct FigureRun {
+    figure: Figure,
+    cells: Vec<CellRun>,
 }
 
-fn run_instrumented_figures(
+/// Runs the four cells of one figure. With an `interval`, each cell runs
+/// with an interval-metrics sink of that window and an armed profiler.
+fn run_figure(
     cfg: ExpConfig,
-    interval: SimDuration,
+    figure: Figure,
+    interval: Option<SimDuration>,
     mobility: Option<&dot11_adhoc::MobilityConfig>,
-) -> Vec<InstrumentedFigure> {
-    let specs = [
-        (
-            7,
-            FIG7_TITLE,
-            PhyRate::R11,
-            FourStationLayout::AsymmetricAt11,
-        ),
-        (9, FIG9_TITLE, PhyRate::R2, FourStationLayout::AsymmetricAt2),
-        (11, FIG11_TITLE, PhyRate::R11, FourStationLayout::Symmetric),
-        (12, FIG12_TITLE, PhyRate::R2, FourStationLayout::Symmetric),
-    ];
-    specs
+) -> FigureRun {
+    let cells = CELLS
         .into_iter()
-        .map(|(figure, title, rate, layout)| {
-            let mut cells = Vec::with_capacity(4);
-            for transport in [SessionTransport::Udp, SessionTransport::Tcp] {
-                for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
-                    let sink = SharedSink::new(IntervalMetricsSink::new(interval));
-                    // The instrumented path arms the wall-clock profiler:
-                    // the per-kind timing lands in the JSON `engine`
-                    // objects without touching physics (probe callbacks
-                    // only read the monotonic clock).
-                    let mut scenario = four_station::scenario(cfg, rate, layout, transport, scheme);
-                    if let Some(m) = mobility {
-                        scenario = scenario.with_mobility(m.clone());
-                    }
+        .map(|(transport, scheme)| {
+            let mut scenario = figure.scenario(cfg, transport, scheme);
+            if let Some(m) = mobility {
+                scenario = scenario.with_mobility(m.clone());
+            }
+            let (report, intervals) = match interval {
+                Some(window) => {
+                    let sink = SharedSink::new(IntervalMetricsSink::new(window));
                     let report = scenario.run_probed(
                         sink.clone(),
                         desim::WallProbe::new(&dot11_adhoc::world::PROBE_SCOPES),
                     );
-                    cells.push(InstrumentedCell {
-                        cell: FourStationCell {
-                            transport,
-                            scheme,
-                            session1_kbps: report.flow(dot11_net::FlowId(0)).throughput_kbps,
-                            session2_kbps: report.flow(dot11_net::FlowId(1)).throughput_kbps,
-                        },
-                        engine: report.engine,
-                        intervals: sink.take().into_rows(),
-                    });
+                    (report, sink.take().into_rows())
                 }
-            }
-            InstrumentedFigure {
-                figure,
-                title,
-                rate,
-                cells,
+                None => (scenario.run(), Vec::new()),
+            };
+            CellRun {
+                cell: FourStationCell::from_report(transport, scheme, &report),
+                engine: report.engine,
+                intervals,
             }
         })
-        .collect()
+        .collect();
+    FigureRun { figure, cells }
 }
 
 fn engine_json(e: &EngineStats) -> String {
@@ -810,7 +740,7 @@ fn engine_json(e: &EngineStats) -> String {
     format!(
         "{{\"events\":{},\"queue_high_water\":{},\"sim_elapsed_ns\":{},\"wall_ns\":{},\
          \"speedup\":{:.1},\"events_per_sec\":{:.0},\"kinds\":{{{}}}{mobility}{profile}}}",
-        e.events,
+        e.kinds.total(),
         e.queue_high_water,
         e.sim_elapsed.as_nanos(),
         e.wall.as_nanos(),
@@ -820,7 +750,7 @@ fn engine_json(e: &EngineStats) -> String {
     )
 }
 
-fn report_json(cfg: ExpConfig, interval: SimDuration, figures: &[InstrumentedFigure]) -> String {
+fn report_json(cfg: ExpConfig, interval: SimDuration, figures: &[FigureRun]) -> String {
     let mut s = format!(
         "{{\"meta\":{{\"paper\":\"IEEE 802.11 Ad Hoc Networks: Performance Measurements\",\
          \"seed\":{},\"duration_ns\":{},\"warmup_ns\":{},\"metrics_interval_ns\":{}}},\
@@ -836,8 +766,8 @@ fn report_json(cfg: ExpConfig, interval: SimDuration, figures: &[InstrumentedFig
         }
         s.push_str(&format!(
             "{{\"figure\":{},\"rate_kbps\":{},\"cells\":[",
-            f.figure,
-            (f.rate.bits_per_sec() / 1000.0) as u32
+            f.figure.number,
+            (f.figure.rate.bits_per_sec() / 1000.0) as u32
         ));
         for (j, c) in f.cells.iter().enumerate() {
             if j > 0 {
@@ -872,16 +802,13 @@ fn report_json(cfg: ExpConfig, interval: SimDuration, figures: &[InstrumentedFig
     s
 }
 
+/// Traces the first cell of the first figure: Figure 7, UDP, basic access.
 fn write_trace(cfg: ExpConfig, path: &str) -> std::io::Result<u64> {
     let sink = SharedSink::new(JsonlSink::create(path)?);
-    let _ = four_station::scenario(
-        cfg,
-        PhyRate::R11,
-        FourStationLayout::AsymmetricAt11,
-        SessionTransport::Udp,
-        AccessScheme::Basic,
-    )
-    .run_with(sink.clone());
+    let (transport, scheme) = CELLS[0];
+    let _ = FIGURES[0]
+        .scenario(cfg, transport, scheme)
+        .run_with(sink.clone());
     let jsonl = sink.take();
     let lines = jsonl.lines();
     jsonl.into_inner()?;
@@ -1025,13 +952,13 @@ fn print_table3(cfg: ExpConfig) {
     );
 }
 
-fn print_four_station(title: &str, cells: Vec<FourStationCell>) {
-    println!("== {title} ==");
+fn print_four_station(run: &FigureRun) {
+    println!("== {} ==", run.figure.title);
     println!(
         "{:>9} | {:>10} | {:>12} | {:>12} | imbalance",
         "transport", "scheme", "S1->S2", "S3->S4"
     );
-    for c in &cells {
+    for c in run.cells.iter().map(|c| &c.cell) {
         println!(
             "{:>9} | {:>10} | {:>8.0} kb/s | {:>8.0} kb/s | {:>6.2}x",
             c.transport.to_string(),

@@ -12,11 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use desim::{SimDuration, SimTime};
-use dot11_phy::PhyRate;
 use dot11_testbed::adhoc::analytic::AccessScheme;
-use dot11_testbed::adhoc::experiments::four_station::{
-    scenario, FourStationLayout, SessionTransport,
-};
+use dot11_testbed::adhoc::experiments::four_station::{figure, SessionTransport};
 use dot11_testbed::adhoc::experiments::ExpConfig;
 
 struct CountingAlloc;
@@ -50,14 +47,9 @@ fn steady_state_frame_pipeline_does_not_allocate() {
         duration: SimDuration::from_secs(2),
         warmup: SimDuration::from_millis(250),
     };
-    let mut world = scenario(
-        cfg,
-        PhyRate::R11,
-        FourStationLayout::AsymmetricAt11,
-        SessionTransport::Udp,
-        AccessScheme::Basic,
-    )
-    .into_world();
+    let mut world = figure(7)
+        .scenario(cfg, SessionTransport::Udp, AccessScheme::Basic)
+        .into_world();
 
     // Warm-up: pools, the event slab, and the in-flight map grow to their
     // steady-state footprint here.

@@ -5,9 +5,7 @@
 
 use desim::SimDuration;
 use dot11_testbed::adhoc::analytic::AccessScheme;
-use dot11_testbed::adhoc::experiments::four_station::{
-    cell, figure12, figure7, figure9, SessionTransport,
-};
+use dot11_testbed::adhoc::experiments::four_station::{cell, figure, SessionTransport};
 use dot11_testbed::adhoc::experiments::ExpConfig;
 
 fn cfg() -> ExpConfig {
@@ -23,7 +21,7 @@ fn cfg() -> ExpConfig {
 /// outside each other's transmission range.
 #[test]
 fn figure7_session2_wins_at_11mbps() {
-    let cells = figure7(cfg());
+    let cells = figure(7).run(cfg());
     for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
         let udp = cell(&cells, SessionTransport::Udp, scheme);
         assert!(
@@ -44,7 +42,7 @@ fn figure7_session2_wins_at_11mbps() {
 /// reduced").
 #[test]
 fn figure7_tcp_reduces_the_difference() {
-    let cells = figure7(cfg());
+    let cells = figure(7).run(cfg());
     let udp = cell(&cells, SessionTransport::Udp, AccessScheme::Basic);
     let tcp = cell(&cells, SessionTransport::Tcp, AccessScheme::Basic);
     assert!(
@@ -70,8 +68,8 @@ fn figure7_tcp_reduces_the_difference() {
 #[test]
 fn figure9_balances_at_2mbps() {
     let c = cfg();
-    let at11 = figure7(c);
-    let at2 = figure9(c);
+    let at11 = figure(7).run(c);
+    let at2 = figure(9).run(c);
     for transport in [SessionTransport::Udp, SessionTransport::Tcp] {
         let fast = cell(&at11, transport, AccessScheme::Basic).imbalance();
         let slow = cell(&at2, transport, AccessScheme::Basic).imbalance();
@@ -93,7 +91,7 @@ fn figure9_balances_at_2mbps() {
 /// transports and both schemes.
 #[test]
 fn figure12_symmetric_2mbps_is_fair() {
-    let cells = figure12(cfg());
+    let cells = figure(12).run(cfg());
     for c in &cells {
         let imb = c.imbalance();
         assert!(
@@ -135,7 +133,7 @@ fn sessions_share_capacity_beyond_tx_range() {
         .run()
         .flow(FlowId(0))
         .throughput_kbps;
-    let cells = figure7(c);
+    let cells = figure(7).run(c);
     let udp = cell(&cells, SessionTransport::Udp, AccessScheme::Basic);
     // Session 1 pays heavily for session 2's presence even though S1 and
     // S3 cannot decode each other at all; the combined goodput also stays

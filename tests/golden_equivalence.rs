@@ -30,12 +30,9 @@
 
 use desim::SimDuration;
 use dot11_testbed::adhoc::analytic::AccessScheme;
-use dot11_testbed::adhoc::experiments::four_station::{
-    scenario, FourStationLayout, SessionTransport,
-};
+use dot11_testbed::adhoc::experiments::four_station::{figure, SessionTransport};
 use dot11_testbed::adhoc::experiments::ExpConfig;
 use dot11_testbed::adhoc::RunReport;
-use dot11_testbed::phy::PhyRate;
 
 /// The seeds the issue pins: 100–110 inclusive.
 const SEEDS: std::ops::RangeInclusive<u64> = 100..=110;
@@ -117,14 +114,7 @@ fn four_station_json(seed: u64) -> String {
     let mut out = String::new();
     for transport in [SessionTransport::Udp, SessionTransport::Tcp] {
         for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
-            let report = scenario(
-                cfg,
-                PhyRate::R11,
-                FourStationLayout::AsymmetricAt11,
-                transport,
-                scheme,
-            )
-            .run();
+            let report = figure(7).scenario(cfg, transport, scheme).run();
             out.push_str(&report_json(&report));
         }
     }
@@ -137,14 +127,9 @@ fn fig12_tcp_json(seed: u64) -> String {
     let cfg = config(seed);
     let mut out = String::new();
     for scheme in [AccessScheme::Basic, AccessScheme::RtsCts] {
-        let report = scenario(
-            cfg,
-            PhyRate::R2,
-            FourStationLayout::Symmetric,
-            SessionTransport::Tcp,
-            scheme,
-        )
-        .run();
+        let report = figure(12)
+            .scenario(cfg, SessionTransport::Tcp, scheme)
+            .run();
         out.push_str(&report_json(&report));
     }
     out
@@ -194,15 +179,10 @@ fn assert_matches_golden(label: &str, actual: &str, path: &std::path::Path) {
 /// regressions.
 #[test]
 fn kind_histogram_sums_to_dispatched_events() {
-    let report = scenario(
-        config(100),
-        PhyRate::R11,
-        FourStationLayout::AsymmetricAt11,
-        SessionTransport::Tcp,
-        AccessScheme::RtsCts,
-    )
-    .run();
-    assert_eq!(report.engine.kinds.total(), report.engine.events);
+    let report = figure(7)
+        .scenario(config(100), SessionTransport::Tcp, AccessScheme::RtsCts)
+        .run();
+    assert_eq!(report.engine.kinds.total(), report.events);
     let kinds = report.engine.kinds.iter_named();
     let count = |name: &str| kinds.iter().find(|(n, _)| *n == name).expect("kind").1;
     assert!(count("signal_start") > 0);

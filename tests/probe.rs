@@ -1,13 +1,8 @@
 //! Integration: the engine profiler is faithful and physics-invisible.
 
-use std::hint::black_box;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use desim::{SimDuration, WallProbe};
-use dot11_testbed::adhoc::analytic::AccessScheme;
-use dot11_testbed::adhoc::experiments::four_station::{self, FourStationLayout, SessionTransport};
-use dot11_testbed::adhoc::experiments::ExpConfig;
 use dot11_testbed::adhoc::world::PROBE_SCOPES;
 use dot11_testbed::adhoc::{Scenario, ScenarioBuilder, Traffic};
 use dot11_testbed::phy::{DayProfile, PhyRate};
@@ -68,7 +63,7 @@ fn probe_scope_counts_match_kind_histogram() {
         );
         scoped_total += scope.count;
     }
-    assert_eq!(scoped_total, report.engine.events, "kind scopes partition");
+    assert_eq!(scoped_total, report.events, "kind scopes partition");
 }
 
 /// The phase scopes cover the hot paths: a contended four-station cell
@@ -173,77 +168,18 @@ fn armed_probe_is_physics_invisible() {
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "node state diverged");
         assert_eq!(a.airtime, b.airtime);
     }
-    assert_eq!(plain.engine.events, probed.engine.events);
+    assert_eq!(plain.events, probed.events);
     assert_eq!(plain.engine.kinds, probed.engine.kinds);
 }
 
-/// Probe states: compiled-out (default run) and disarmed (`WallProbe::off`)
-/// both report no profile; only an armed probe produces one.
+/// Probe states: compiled out (the default run) reports no profile;
+/// only an armed probe produces one.
 #[test]
 fn only_an_armed_probe_reports() {
     let _quiet = quiet();
-    assert!(contended_cell().run().engine.profile.is_none());
-    let disarmed = contended_cell().run_probed(NullSink, WallProbe::off(&PROBE_SCOPES));
-    assert!(disarmed.engine.profile.is_none());
-    assert!(disarmed.engine.attributed_fraction().is_none());
+    let plain = contended_cell().run();
+    assert!(plain.engine.profile.is_none());
+    assert!(plain.engine.attributed_fraction().is_none());
     let armed = contended_cell().run_probed(NullSink, WallProbe::new(&PROBE_SCOPES));
     assert!(armed.engine.profile.is_some());
-}
-
-/// The probe is zero-cost when disarmed: a world built with probes
-/// compiled out (`Scenario::run`) and one with `WallProbe::off` compiled
-/// in run the Figure 7 UDP/basic cell (seed 3, 1 s session, 200 ms
-/// warm-up) at the same speed. The two variants alternate, so a slow
-/// spell of the host lands on both, and their median wall times must
-/// agree within 25% — a same-process ratio, meaningful on any host.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "wall-clock ratio; run with `cargo test --release`"
-)]
-fn disarmed_probe_costs_the_same_as_no_probe() {
-    let _quiet = quiet();
-    let cell = || {
-        let config = ExpConfig {
-            seed: 3,
-            duration: SimDuration::from_secs(1),
-            warmup: SimDuration::from_millis(200),
-        };
-        four_station::scenario(
-            config,
-            PhyRate::R11,
-            FourStationLayout::AsymmetricAt11,
-            SessionTransport::Udp,
-            AccessScheme::Basic,
-        )
-    };
-    let compiled_out = || cell().run().engine.events;
-    let disarmed = || {
-        cell()
-            .run_probed(NullSink, WallProbe::off(&PROBE_SCOPES))
-            .engine
-            .events
-    };
-    // The first pair warms both paths and is not timed.
-    assert_eq!(compiled_out(), disarmed(), "same events either way");
-    let mut samples = [Vec::new(), Vec::new()];
-    for i in 0..31 {
-        for k in [i % 2, 1 - i % 2] {
-            let t0 = Instant::now();
-            black_box(if k == 0 { compiled_out() } else { disarmed() });
-            samples[k].push(t0.elapsed());
-        }
-    }
-    let [out, off] = samples.map(|mut v: Vec<Duration>| {
-        v.sort();
-        v[v.len() / 2].as_secs_f64()
-    });
-    let ratio = out.max(off) / out.min(off);
-    assert!(
-        ratio <= 1.25,
-        "compiled-out {:.3} ms vs disarmed {:.3} ms per run differ by {:.0}% (limit 25%)",
-        1e3 * out,
-        1e3 * off,
-        100.0 * (ratio - 1.0)
-    );
 }
